@@ -1677,7 +1677,7 @@ let usage () =
   Printf.printf "usage: bench [--json] [EXPERIMENT...]\n\n";
   Printf.printf "Experiments (default: all):\n";
   Printf.printf "  f1 f2 f3     figure reproductions\n";
-  Printf.printf "  t1..t21      microbenchmarks (see DESIGN.md)\n\n";
+  Printf.printf "  t1..t22      microbenchmarks (see DESIGN.md)\n\n";
   Printf.printf "--json additionally writes each experiment's table to its canonical\n";
   Printf.printf "artifact (e.g. t15 -> BENCH_faults.json, t18 -> BENCH_soak.json).\n"
 
@@ -1713,7 +1713,7 @@ let () =
           | [] -> ()
           | tables -> write_json (artifact_of name) tables
         end
-      | None -> Printf.printf "unknown experiment %S (known: f1 f2 f3 t1..t21)\n" name)
+      | None -> Printf.printf "unknown experiment %S (known: f1 f2 f3 t1..t22)\n" name)
     requested;
   if !bench_failures > 0 then begin
     Printf.printf "\n%d experiment acceptance check(s) FAILED\n" !bench_failures;

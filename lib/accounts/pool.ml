@@ -7,7 +7,18 @@
    grid identity for a limited time, is renewed on reuse, and is reclaimed
    on release or expiry. A holder that already has a live lease gets the
    same account back — account state (files, quotas) stays coherent within
-   a session. *)
+   a session.
+
+   Per-call cost does not depend on how long the pool has been running.
+   Leases are indexed by account slot (an array), by holder and by lease
+   id. The lowest-numbered free account is the smallest released slot
+   below the high-water mark [fresh], or [fresh] itself; slots at or above
+   [fresh] have never been leased. Leases are also threaded through a
+   doubly-linked list over slots, ordered by [expires_at], whose head is
+   the earliest expiry: the sweep stops there, so it costs nothing while
+   [now] is at or before that expiry and O(1) per lease it collects.
+   Under a non-decreasing clock a grant or renewal joins the tail
+   directly. Account names are rendered when a lease is granted. *)
 
 type lease = {
   lease_id : string;
@@ -17,10 +28,35 @@ type lease = {
   mutable expires_at : Grid_sim.Clock.time;
 }
 
+(* Hash every component: population DNs share long prefixes, and the
+   polymorphic hash stops after ten meaningful words. *)
+module Holders = Hashtbl.Make (struct
+  type t = Grid_gsi.Dn.t
+
+  let equal = Grid_gsi.Dn.equal
+
+  let hash dn =
+    List.fold_left
+      (fun h { Grid_gsi.Dn.attr; value } ->
+        Hashtbl.seeded_hash (Hashtbl.seeded_hash h attr) value)
+      0 dn
+end)
+
+module Slots = Set.Make (Int)
+
 type t = {
-  accounts : string list;
+  prefix : string;
+  size : int;
   lease_lifetime : Grid_sim.Clock.time;
-  mutable leases : lease list;
+  leases : lease option array;     (* by account slot *)
+  holders : int Holders.t;         (* holder -> slot *)
+  ids : (string, int) Hashtbl.t;   (* lease id -> slot *)
+  (* Expiry order over slots; index [size] is the sentinel. *)
+  prev : int array;
+  next : int array;
+  mutable live : int;              (* leases held, expired or not *)
+  mutable fresh : int;
+  mutable released : Slots.t;      (* free slots below [fresh] *)
   mutable grants : int;
   mutable reuses : int;
   mutable exhaustions : int;
@@ -37,61 +73,142 @@ let error_to_string = function
 
 let create ?(prefix = "grid") ~size ~lease_lifetime () =
   if size <= 0 then invalid_arg "Pool.create: size must be positive";
-  { accounts = List.init size (fun i -> Printf.sprintf "%s%03d" prefix i);
+  { prefix;
+    size;
     lease_lifetime;
-    leases = [];
+    leases = Array.make size None;
+    holders = Holders.create 64;
+    ids = Hashtbl.create 64;
+    prev = Array.make (size + 1) size;
+    next = Array.make (size + 1) size;
+    live = 0;
+    fresh = 0;
+    released = Slots.empty;
     grants = 0;
     reuses = 0;
     exhaustions = 0 }
 
-let live_leases t ~now = List.filter (fun l -> now <= l.expires_at) t.leases
+let lease_at t slot =
+  match t.leases.(slot) with
+  | Some lease -> lease
+  | None -> invalid_arg "Pool: empty slot in an index"
+
+let expired ~now lease = not (now <= lease.expires_at)
+
+let unlink t slot =
+  let p = t.prev.(slot) and n = t.next.(slot) in
+  t.next.(p) <- n;
+  t.prev.(n) <- p
+
+(* Insert after the last lease that expires no later, walking back from
+   the tail: no step at all when the clock has not gone backwards. *)
+let link t slot =
+  let expires_at = (lease_at t slot).expires_at in
+  let rec place p =
+    if p <> t.size && (lease_at t p).expires_at > expires_at then place t.prev.(p) else p
+  in
+  let p = place t.prev.(t.size) in
+  let n = t.next.(p) in
+  t.prev.(slot) <- p;
+  t.next.(slot) <- n;
+  t.next.(p) <- slot;
+  t.prev.(n) <- slot
+
+let remove t slot =
+  let lease = lease_at t slot in
+  unlink t slot;
+  t.leases.(slot) <- None;
+  Holders.remove t.holders lease.holder;
+  Hashtbl.remove t.ids lease.lease_id;
+  t.released <- Slots.add slot t.released;
+  t.live <- t.live - 1
+
+(* Number of leases expired at [now]; they form the head of the list. *)
+let count_expired t ~now =
+  let rec go slot n =
+    if slot <> t.size && expired ~now (lease_at t slot) then go t.next.(slot) (n + 1) else n
+  in
+  go t.next.(t.size) 0
 
 (* Reclaim expired leases; returns how many were collected. *)
 let expire t ~now =
-  let before = List.length t.leases in
-  t.leases <- live_leases t ~now;
-  before - List.length t.leases
+  let rec sweep n =
+    let head = t.next.(t.size) in
+    if head <> t.size && expired ~now (lease_at t head) then begin
+      remove t head;
+      sweep (n + 1)
+    end
+    else n
+  in
+  sweep 0
+
+let free_slot t =
+  match Slots.min_elt_opt t.released with
+  | Some slot ->
+    t.released <- Slots.remove slot t.released;
+    Some slot
+  | None when t.fresh < t.size ->
+    t.fresh <- t.fresh + 1;
+    Some (t.fresh - 1)
+  | None -> None
 
 let acquire t ~now ~holder =
   ignore (expire t ~now);
-  match List.find_opt (fun l -> Grid_gsi.Dn.equal l.holder holder) t.leases with
-  | Some lease ->
+  match Holders.find_opt t.holders holder with
+  | Some slot ->
     (* Renew rather than double-allocate. *)
+    let lease = lease_at t slot in
     lease.expires_at <- Grid_sim.Clock.add now t.lease_lifetime;
+    unlink t slot;
+    link t slot;
     t.reuses <- t.reuses + 1;
     Ok lease
   | None -> begin
-    let in_use = List.map (fun l -> l.account) t.leases in
-    match List.find_opt (fun a -> not (List.mem a in_use)) t.accounts with
+    match free_slot t with
     | None ->
       t.exhaustions <- t.exhaustions + 1;
-      Error (Pool_exhausted { size = List.length t.accounts })
-    | Some account ->
+      Error (Pool_exhausted { size = t.size })
+    | Some slot ->
       let lease =
         { lease_id = Grid_util.Ids.lease ();
-          account;
+          account = Printf.sprintf "%s%03d" t.prefix slot;
           holder;
           granted_at = now;
           expires_at = Grid_sim.Clock.add now t.lease_lifetime }
       in
+      t.leases.(slot) <- Some lease;
+      Holders.replace t.holders holder slot;
+      Hashtbl.replace t.ids lease.lease_id slot;
+      link t slot;
+      t.live <- t.live + 1;
       t.grants <- t.grants + 1;
-      t.leases <- lease :: t.leases;
       Ok lease
   end
 
 let release t ~lease_id =
-  if List.exists (fun l -> l.lease_id = lease_id) t.leases then begin
-    t.leases <- List.filter (fun l -> l.lease_id <> lease_id) t.leases;
+  match Hashtbl.find_opt t.ids lease_id with
+  | Some slot ->
+    remove t slot;
     Ok ()
-  end
-  else Error (Unknown_lease lease_id)
+  | None -> Error (Unknown_lease lease_id)
 
+(* An account name carries its slot; the leased name must match exactly
+   ("grid7" is not "grid007"). *)
 let holder_of t ~account ~now =
-  List.find_opt (fun l -> l.account = account) (live_leases t ~now)
-  |> Option.map (fun l -> l.holder)
+  let p = String.length t.prefix in
+  if not (String.starts_with ~prefix:t.prefix account) then None
+  else
+    match int_of_string_opt (String.sub account p (String.length account - p)) with
+    | Some slot when slot >= 0 && slot < t.size -> begin
+      match t.leases.(slot) with
+      | Some lease when String.equal lease.account account && not (expired ~now lease) ->
+        Some lease.holder
+      | Some _ | None -> None
+    end
+    | Some _ | None -> None
 
-let size t = List.length t.accounts
-let in_use t ~now = List.length (live_leases t ~now)
+let size t = t.size
+let in_use t ~now = t.live - count_expired t ~now
 let available t ~now = size t - in_use t ~now
 
 type stats = { total_grants : int; total_reuses : int; total_exhaustions : int }

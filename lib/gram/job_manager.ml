@@ -269,34 +269,21 @@ let start_inner t ~(credential : Grid_gsi.Credential.t option) :
                 ~attrs:[ ("lrm_job", lrm_id); ("account", t.account) ]
                 "job.run"
             in
-            Grid_lrm.Lrm.on_event t.lrm
+            Grid_lrm.Lrm.watch t.lrm lrm_id
               (fun (Grid_lrm.Lrm.State_changed { job; _ }) ->
-                if String.equal job.Grid_lrm.Lrm.id lrm_id then begin
-                  match job.Grid_lrm.Lrm.state with
-                  | Grid_lrm.Lrm.Completed | Grid_lrm.Lrm.Cancelled
-                  | Grid_lrm.Lrm.Killed _ ->
-                    Grid_obs.Span.set_attr run_span "state"
-                      (Grid_lrm.Lrm.state_to_string job.Grid_lrm.Lrm.state);
-                    Grid_obs.Obs.finish_span t.obs run_span
-                  | Grid_lrm.Lrm.Pending | Grid_lrm.Lrm.Running
-                  | Grid_lrm.Lrm.Suspended -> ()
+                if Grid_lrm.Lrm.is_terminal job.Grid_lrm.Lrm.state then begin
+                  Grid_obs.Span.set_attr run_span "state"
+                    (Grid_lrm.Lrm.state_to_string job.Grid_lrm.Lrm.state);
+                  Grid_obs.Obs.finish_span t.obs run_span
                 end)
           end;
           (match reservation with
           | None -> ()
           | Some reservation ->
             let cpus = float_of_int spec.Grid_lrm.Lrm.cpus in
-            Grid_lrm.Lrm.on_event t.lrm
+            Grid_lrm.Lrm.watch t.lrm lrm_id
               (fun (Grid_lrm.Lrm.State_changed { job; _ }) ->
-                if
-                  String.equal job.Grid_lrm.Lrm.id lrm_id
-                  &&
-                  match job.Grid_lrm.Lrm.state with
-                  | Grid_lrm.Lrm.Completed | Grid_lrm.Lrm.Cancelled
-                  | Grid_lrm.Lrm.Killed _ -> true
-                  | Grid_lrm.Lrm.Pending | Grid_lrm.Lrm.Running
-                  | Grid_lrm.Lrm.Suspended -> false
-                then
+                if Grid_lrm.Lrm.is_terminal job.Grid_lrm.Lrm.state then
                   Grid_accounts.Allocation.settle reservation
                     ~actual:(cpus *. job.Grid_lrm.Lrm.walltime_used)));
           Grid_audit.Audit.log t.audit ~at:(now t) ~kind:Grid_audit.Audit.Job_submission

@@ -171,12 +171,10 @@ let register_callback t ~contact ~(on_state_change : Protocol.job_state -> unit)
     match Job_manager.lrm_job_id jmi with
     | None -> Error (Protocol.Invalid_request "job was never started")
     | Some lrm_id ->
-      Grid_lrm.Lrm.on_event t.lrm (fun (Grid_lrm.Lrm.State_changed { job; _ }) ->
-          if String.equal job.Grid_lrm.Lrm.id lrm_id then begin
-            let state = Protocol.job_state_of_lrm job.Grid_lrm.Lrm.state in
-            Grid_sim.Network.send ~link:"resource->client" t.network (fun () ->
-                on_state_change state)
-          end);
+      Grid_lrm.Lrm.watch t.lrm lrm_id (fun (Grid_lrm.Lrm.State_changed { job; _ }) ->
+          let state = Protocol.job_state_of_lrm job.Grid_lrm.Lrm.state in
+          Grid_sim.Network.send ~link:"resource->client" t.network (fun () ->
+              on_state_change state));
       Ok ()
   end
 

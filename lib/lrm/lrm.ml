@@ -82,6 +82,7 @@ type t = {
   mutable pending : job list;      (* insertion order; sorted at pass time *)
   mutable arrivals : int;
   mutable listeners : (event -> unit) list;
+  watchers : (string, (event -> unit) list) Hashtbl.t;  (* by job id *)
 }
 
 type error =
@@ -116,16 +117,43 @@ let create ?(obs = Grid_obs.Obs.noop) ?(queues = default_queues) ~nodes ~cpus_pe
     jobs = Hashtbl.create 64;
     pending = [];
     arrivals = 0;
-    listeners = [] }
+    listeners = [];
+    watchers = Hashtbl.create 64 }
 
 let capacity t = List.fold_left (fun acc (n : node) -> acc + n.cpus) 0 t.nodes
 let queue_names t = List.map (fun q -> q.queue_name) t.queues
 let free_cpus t = List.fold_left (fun acc n -> acc + n.free) 0 t.nodes
 let cpus_in_use t = capacity t - free_cpus t
 
+let is_terminal = function
+  | Completed | Cancelled | Killed _ -> true
+  | Pending | Running | Suspended -> false
+
 let on_event t f = t.listeners <- f :: t.listeners
 
-let emit t ev = List.iter (fun f -> f ev) t.listeners
+(* A job's watchers live only as long as the job does: a watcher for a
+   finished (or unknown) job could never fire, so it is not kept. *)
+let watch t id f =
+  match Hashtbl.find_opt t.jobs id with
+  | Some job when not (is_terminal job.state) ->
+    let fs = Option.value ~default:[] (Hashtbl.find_opt t.watchers id) in
+    Hashtbl.replace t.watchers id (f :: fs)
+  | Some _ | None -> ()
+
+(* Over a snapshot taken before any callback runs: the job's watchers,
+   then the global listeners, each newest first. A terminal transition
+   drops the job's watchers. *)
+let emit t (State_changed { job; _ } as ev) =
+  let own =
+    match Hashtbl.find_opt t.watchers job.id with
+    | None -> []
+    | Some fs ->
+      if is_terminal job.state then Hashtbl.remove t.watchers job.id;
+      fs
+  in
+  let listeners = t.listeners in
+  List.iter (fun f -> f ev) own;
+  List.iter (fun f -> f ev) listeners
 
 (* Cluster occupancy gauges; refreshed on every allocation change. *)
 let update_gauges t =

@@ -23,6 +23,9 @@ type state =
 
 val state_to_string : state -> string
 
+val is_terminal : state -> bool
+(** [Completed], [Cancelled] or [Killed]: the job will not change again. *)
+
 type spec = {
   account : string;
   cpus : int;
@@ -81,7 +84,17 @@ val free_cpus : t -> int
 val cpus_in_use : t -> int
 
 val on_event : t -> (event -> unit) -> unit
-(** Observe every job state change (the JMI's monitoring hook). *)
+(** Observe every job state change, for as long as the LRM lives. Meant
+    for per-resource listeners such as a journal bridge; use {!watch} for
+    one job, or every state change pays for every job ever watched. *)
+
+val watch : t -> string -> (event -> unit) -> unit
+(** [watch t id f]: call [f] on each state change of job [id] until, and
+    including, its terminal state, after which [f] is dropped. A job
+    that is unknown or already terminal is not watched. Each state change
+    calls the job's watchers before the {!on_event} listeners, each
+    group newest first; callbacks registered during a dispatch are first
+    called on the next state change. *)
 
 val submit : t -> spec -> (string, error) result
 (** Queue a job; returns its id. Scheduling happens immediately and on

@@ -97,6 +97,221 @@ let qcheck_pool_never_double_allocates =
       let accounts = List.map snd by_holder in
       List.length (List.sort_uniq compare accounts) = List.length accounts)
 
+(* --- Pool against its list-based reference ------------------------------------ *)
+
+(* The pool as first written: one list of leases, scanned by every call.
+   Slow, but obviously right; the indexed pool must answer as it does. *)
+module Reference = struct
+  type lease = {
+    lease_id : string;
+    account : string;
+    holder : Grid_gsi.Dn.t;
+    granted_at : float;
+    mutable expires_at : float;
+  }
+
+  type t = {
+    accounts : string list;
+    lease_lifetime : float;
+    mutable leases : lease list;
+    mutable grants : int;
+    mutable reuses : int;
+    mutable exhaustions : int;
+  }
+
+  let create ~size ~lease_lifetime =
+    { accounts = List.init size (Printf.sprintf "grid%03d");
+      lease_lifetime;
+      leases = [];
+      grants = 0;
+      reuses = 0;
+      exhaustions = 0 }
+
+  let live_leases t ~now = List.filter (fun l -> now <= l.expires_at) t.leases
+
+  let expire t ~now =
+    let before = List.length t.leases in
+    t.leases <- live_leases t ~now;
+    before - List.length t.leases
+
+  let acquire t ~now ~holder =
+    ignore (expire t ~now);
+    match List.find_opt (fun l -> Grid_gsi.Dn.equal l.holder holder) t.leases with
+    | Some lease ->
+      lease.expires_at <- now +. t.lease_lifetime;
+      t.reuses <- t.reuses + 1;
+      Ok lease
+    | None -> begin
+      let in_use = List.map (fun l -> l.account) t.leases in
+      match List.find_opt (fun a -> not (List.mem a in_use)) t.accounts with
+      | None ->
+        t.exhaustions <- t.exhaustions + 1;
+        Error (List.length t.accounts)
+      | Some account ->
+        let lease =
+          { lease_id = Grid_util.Ids.lease ();
+            account;
+            holder;
+            granted_at = now;
+            expires_at = now +. t.lease_lifetime }
+        in
+        t.grants <- t.grants + 1;
+        t.leases <- lease :: t.leases;
+        Ok lease
+    end
+
+  let release t ~lease_id =
+    if List.exists (fun l -> l.lease_id = lease_id) t.leases then begin
+      t.leases <- List.filter (fun l -> l.lease_id <> lease_id) t.leases;
+      true
+    end
+    else false
+
+  let holder_of t ~account ~now =
+    List.find_opt (fun l -> l.account = account) (live_leases t ~now)
+    |> Option.map (fun l -> l.holder)
+
+  let in_use t ~now = List.length (live_leases t ~now)
+end
+
+type pool_op =
+  | Acquire of int               (* holder index *)
+  | Release of int               (* index into the lease ids granted so far *)
+  | Release_unknown
+  | Advance of float
+  | Expire
+  | Holder_of of string
+  | Counts
+  | Stats
+
+let pool_lifetime = 10.0
+
+let pp_pool_op = function
+  | Acquire h -> Printf.sprintf "acquire u%d" h
+  | Release i -> Printf.sprintf "release #%d" i
+  | Release_unknown -> "release unknown"
+  | Advance d -> Printf.sprintf "advance %g" d
+  | Expire -> "expire"
+  | Holder_of a -> "holder_of " ^ a
+  | Counts -> "counts"
+  | Stats -> "stats"
+
+let gen_pool_op =
+  let open QCheck.Gen in
+  frequency
+    [ (6, map (fun h -> Acquire h) (int_range 0 6));
+      (2, map (fun i -> Release i) (int_range 0 15));
+      (1, return Release_unknown);
+      (* Steps inside, at and past the lease lifetime, and one back: the
+         pool takes any [now], not only a non-decreasing one. *)
+      (3,
+       map (fun d -> Advance d)
+         (oneofl [ 0.0; 1.0; 4.5; pool_lifetime; pool_lifetime +. 0.5; -4.5 ]));
+      (1, return Expire);
+      (2,
+       map
+         (fun i -> Holder_of (if i < 0 then "grid" ^ string_of_int (-i) else Printf.sprintf "grid%03d" i))
+         (int_range (-3) 6));
+      (2, return Counts);
+      (1, return Stats) ]
+
+(* Population DNs share a long prefix; only the last component differs. *)
+let pool_holder h =
+  dn (Printf.sprintf "/O=Grid/O=Globus/OU=mcs.anl.gov/OU=Population/OU=Members/CN=u%d" h)
+
+(* Replay [ops] against one implementation, rendering every answer. *)
+let replay ~acquire ~release ~expire ~holder_of ~in_use ~available ~stats ops =
+  Grid_util.Ids.reset ();
+  let now = ref 0.0 and granted = ref [||] in
+  List.map
+    (fun op ->
+      let answer =
+        match op with
+        | Acquire h -> begin
+          match acquire ~now:!now ~holder:(pool_holder h) with
+          | Ok (id, account, holder, granted_at, expires_at) ->
+            if not (Array.mem id !granted) then granted := Array.append !granted [| id |];
+            Printf.sprintf "%s %s %s %g %g" id account (Grid_gsi.Dn.to_string holder)
+              granted_at expires_at
+          | Error size -> Printf.sprintf "exhausted %d" size
+        end
+        | Release i ->
+          let id =
+            if Array.length !granted = 0 then "lease-000000"
+            else !granted.(i mod Array.length !granted)
+          in
+          Printf.sprintf "%s %b" id (release ~lease_id:id)
+        | Release_unknown -> string_of_bool (release ~lease_id:"lease-999999")
+        | Advance d ->
+          now := !now +. d;
+          Printf.sprintf "now %g" !now
+        | Expire -> string_of_int (expire ~now:!now)
+        | Holder_of account ->
+          Option.fold ~none:"none" ~some:Grid_gsi.Dn.to_string (holder_of ~account ~now:!now)
+        | Counts -> Printf.sprintf "%d/%d" (in_use ~now:!now) (available ~now:!now)
+        | Stats ->
+          let g, r, e = stats () in
+          Printf.sprintf "%d %d %d" g r e
+      in
+      pp_pool_op op ^ " -> " ^ answer)
+    ops
+
+let env_int name =
+  match Sys.getenv_opt name with
+  | None | Some "" -> None
+  | Some s -> (
+    match int_of_string_opt (String.trim s) with
+    | Some n -> Some n
+    | None -> Printf.ksprintf failwith "%s must be an integer, got %S" name s)
+
+let qcheck_pool_matches_reference =
+  QCheck.Test.make ~name:"pool answers as the list-based reference"
+    ~count:(Option.value ~default:500 (env_int "QCHECK_COUNT"))
+    QCheck.(
+      make
+        ~print:(fun (size, ops) ->
+          Printf.sprintf "size %d: %s" size (String.concat "; " (List.map pp_pool_op ops)))
+        Gen.(pair (int_range 1 5) (list_size (int_range 0 80) gen_pool_op)))
+    (fun (size, ops) ->
+      let expected =
+        let r = Reference.create ~size ~lease_lifetime:pool_lifetime in
+        replay ops
+          ~acquire:(fun ~now ~holder ->
+            Result.map
+              (fun (l : Reference.lease) ->
+                (l.lease_id, l.account, l.holder, l.granted_at, l.expires_at))
+              (Reference.acquire r ~now ~holder))
+          ~release:(Reference.release r) ~expire:(Reference.expire r)
+          ~holder_of:(Reference.holder_of r) ~in_use:(Reference.in_use r)
+          ~available:(fun ~now -> size - Reference.in_use r ~now)
+          ~stats:(fun () -> (r.grants, r.reuses, r.exhaustions))
+      in
+      let actual =
+        let p = Pool.create ~size ~lease_lifetime:pool_lifetime () in
+        replay ops
+          ~acquire:(fun ~now ~holder ->
+            match Pool.acquire p ~now ~holder with
+            | Ok l -> Ok (l.Pool.lease_id, l.account, l.holder, l.granted_at, l.expires_at)
+            | Error (Pool.Pool_exhausted { size }) -> Error size
+            | Error (Pool.Unknown_lease _) -> Error (-1))
+          ~release:(fun ~lease_id -> Result.is_ok (Pool.release p ~lease_id))
+          ~expire:(Pool.expire p) ~holder_of:(Pool.holder_of p) ~in_use:(Pool.in_use p)
+          ~available:(Pool.available p)
+          ~stats:(fun () ->
+            let s = Pool.stats p in
+            (s.Pool.total_grants, s.total_reuses, s.total_exhaustions))
+      in
+      if expected = actual then true
+      else
+        QCheck.Test.fail_reportf "reference:\n  %s\npool:\n  %s"
+          (String.concat "\n  " expected) (String.concat "\n  " actual))
+
+(* Pinned seed; QCHECK_SEED replaces it and QCHECK_COUNT the count, as in
+   test_rebac. *)
+let pinned test =
+  let seeds = match env_int "QCHECK_SEED" with Some s -> [| s |] | None -> [| 0x5EED; 613 |] in
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make seeds) test
+
 (* --- Sandbox ---------------------------------------------------------------- *)
 
 let job rsl = Result.get_ok (Grid_rsl.Job.of_string rsl)
@@ -358,7 +573,8 @@ let () =
           Alcotest.test_case "expiry reclaims" `Quick test_pool_expiry_reclaims;
           Alcotest.test_case "holder_of" `Quick test_pool_holder_of;
           Alcotest.test_case "release unknown" `Quick test_pool_release_unknown;
-          QCheck_alcotest.to_alcotest qcheck_pool_never_double_allocates ] );
+          QCheck_alcotest.to_alcotest qcheck_pool_never_double_allocates;
+          pinned qcheck_pool_matches_reference ] );
       ( "sandbox",
         [ Alcotest.test_case "unrestricted" `Quick test_sandbox_unrestricted;
           Alcotest.test_case "cpu limit" `Quick test_sandbox_cpu_limit;

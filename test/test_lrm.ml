@@ -185,6 +185,45 @@ let test_events_observed () =
   Alcotest.(check (list string)) "observed lifecycle" [ "pending"; "running"; "completed" ]
     (List.rev !transitions)
 
+let test_watch_per_job () =
+  let engine, lrm = make ~nodes:1 ~cpus:1 () in
+  let log = ref [] in
+  let note who (Grid_lrm.Lrm.State_changed { job; _ }) =
+    log :=
+      Printf.sprintf "%s %s %s" who job.Grid_lrm.Lrm.id
+        (Grid_lrm.Lrm.state_to_string job.Grid_lrm.Lrm.state)
+      :: !log
+  in
+  Grid_lrm.Lrm.on_event lrm (note "global");
+  let a = ok (Grid_lrm.Lrm.submit lrm (spec ~duration:5.0 ())) in
+  let b = ok (Grid_lrm.Lrm.submit lrm (spec ~duration:5.0 ())) in
+  Grid_lrm.Lrm.watch lrm a (note "a-old");
+  Grid_lrm.Lrm.watch lrm a (note "a-new");
+  Grid_lrm.Lrm.watch lrm b (note "b");
+  log := [];
+  ignore (ok (Grid_lrm.Lrm.suspend lrm a));
+  ignore (ok (Grid_lrm.Lrm.resume lrm a));
+  Engine.run engine;
+  (* A finished job is not watched, and its watchers are gone: a later
+     job that reuses the id reaches only the global listener. *)
+  Grid_lrm.Lrm.watch lrm a (note "a-late");
+  Grid_util.Ids.reset ();
+  let reused = ok (Grid_lrm.Lrm.submit lrm (spec ~duration:1.0 ())) in
+  Alcotest.(check string) "id reused" a reused;
+  Engine.run engine;
+  Alcotest.(check (list string)) "own job only, before global, newest first, until terminal"
+    [ "a-new job-000001 suspended"; "a-old job-000001 suspended";
+      "global job-000001 suspended";
+      "b job-000002 running"; "global job-000002 running";
+      "a-new job-000001 pending"; "a-old job-000001 pending"; "global job-000001 pending";
+      "b job-000002 completed"; "global job-000002 completed";
+      "a-new job-000001 running"; "a-old job-000001 running"; "global job-000001 running";
+      "a-new job-000001 completed"; "a-old job-000001 completed";
+      "global job-000001 completed";
+      "global job-000001 pending"; "global job-000001 running";
+      "global job-000001 completed" ]
+    (List.rev !log)
+
 let test_zero_duration_job () =
   let engine, lrm = make () in
   let id = ok (Grid_lrm.Lrm.submit lrm (spec ~duration:0.0 ())) in
@@ -252,7 +291,8 @@ let () =
           Alcotest.test_case "unknown queue" `Quick test_unknown_queue_rejected;
           Alcotest.test_case "cancel" `Quick test_cancel_pending_and_running;
           Alcotest.test_case "zero duration" `Quick test_zero_duration_job;
-          Alcotest.test_case "events" `Quick test_events_observed ] );
+          Alcotest.test_case "events" `Quick test_events_observed;
+          Alcotest.test_case "per-job watch" `Quick test_watch_per_job ] );
       ( "suspension",
         [ Alcotest.test_case "suspend/resume progress" `Quick
             test_suspend_resume_preserves_progress;

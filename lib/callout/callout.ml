@@ -61,10 +61,9 @@ let pp_error ppf e = Fmt.string ppf (error_to_string e)
 
 (* --- Query construction ----------------------------------------------- *)
 
-(* The one smart constructor behind every query. The historical pair
-   [start_query]/[management_query] survives as thin wrappers; new code
-   states its intent through the variant instead of remembering which
-   optional fields a start or a management question may carry. *)
+(* The one smart constructor behind every query: callers state their
+   intent through the variant instead of remembering which optional
+   fields a start or a management question may carry. *)
 module Query = struct
   type intent =
     | Start of Grid_rsl.Ast.clause
@@ -86,12 +85,6 @@ module Query = struct
       { requester; requester_credential = credential; job_owner = Some job_owner;
         action; job_id; rsl = None; jobtag }
 end
-
-let start_query ~requester ?credential ~job_id ~rsl () =
-  Query.make ~requester ?credential ~job_id (Query.Start rsl)
-
-let management_query ~requester ?credential ~action ~job_id ~job_owner ~jobtag () =
-  Query.make ~requester ?credential ~job_id (Query.Management { action; job_owner; jobtag })
 
 (* Translate a callout query into a policy-engine request. *)
 let to_policy_request (q : query) : Grid_policy.Types.request =

@@ -37,16 +37,6 @@ val pp_error : error Fmt.t
 (** Smart constructor for queries — the single supported way to build a
     {!query}.
 
-    Migration path: the legacy [start_query] and [management_query]
-    constructors below are thin wrappers over [Query.make] and are kept
-    for source compatibility only. New code should write
-
-    {[
-      Query.make ~requester ?credential ?job_id (Query.Start rsl)
-      Query.make ~requester ?credential ?job_id
-        (Query.Management { action; job_owner; jobtag })
-    ]}
-
     The variant-typed [intent] makes the start/management split explicit
     in the type instead of in two near-identical functions, and is the
     extension point for future intents (e.g. delegation). *)
@@ -70,30 +60,6 @@ module Query : sig
     intent ->
     query
 end
-
-val start_query :
-  requester:Grid_gsi.Dn.t ->
-  ?credential:Grid_gsi.Credential.t ->
-  job_id:string ->
-  rsl:Grid_rsl.Ast.clause ->
-  unit ->
-  query
-[@@ocaml.deprecated "Use Query.make ... (Query.Start rsl) instead."]
-(** @deprecated Thin wrapper over [Query.make _ (Query.Start _)]; see
-    the migration note on {!module:Query}. *)
-
-val management_query :
-  requester:Grid_gsi.Dn.t ->
-  ?credential:Grid_gsi.Credential.t ->
-  action:Grid_policy.Types.Action.t ->
-  job_id:string ->
-  job_owner:Grid_gsi.Dn.t ->
-  jobtag:string option ->
-  unit ->
-  query
-[@@ocaml.deprecated "Use Query.make ... (Query.Management ...) instead."]
-(** @deprecated Thin wrapper over [Query.make _ (Query.Management _)];
-    see the migration note on {!module:Query}. *)
 
 val to_policy_request : query -> Grid_policy.Types.request
 

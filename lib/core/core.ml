@@ -85,95 +85,20 @@ module Testbed = struct
     | Some identity -> identity
     | None -> invalid_arg ("Testbed.user: unknown user " ^ dn_string)
 
-  (* The mode plus, when the backend has one, the policy-epoch source a
-     decision cache should invalidate on. *)
-  let mode_and_epoch_of_backend ~obs = function
-    | Baseline -> (Grid_gram.Mode.Gt2_baseline, None)
-    | Flat_file sources ->
-      (* Flat-file backends evaluate through the compiled policy index
-         and get policy-derived sandboxes for free: the clause the
-         decision rested on configures the enforcement envelope
-         (DESIGN.md, Section 7 direction). *)
-      let pep = Grid_callout.File_pep.Compiled.create ~obs sources in
-      ( Grid_gram.Mode.extended_batch ~backend:"flat_file"
-          ~advice:(Grid_callout.File_pep.advice sources)
-          (Grid_callout.File_pep.Compiled.batch pep),
-        Some (fun () -> Grid_callout.File_pep.Compiled.epoch pep) )
-    | Rebac pep ->
-      ( Grid_gram.Mode.extended_batch ~backend:"rebac" (Grid_rebac.Pep.batch pep),
-        Some (fun () -> Grid_rebac.Pep.epoch pep) )
-    | Custom authorization -> (Grid_gram.Mode.extended authorization, None)
-
-  let mode_of_backend ~obs backend = fst (mode_and_epoch_of_backend ~obs backend)
-
-  (* Ad-hoc tuple writes under the ReBAC PEP advance the store revision
-     without an epoch bump; the decision cache folds it into its keys. *)
-  let revision_of_backend = function
-    | Rebac pep -> Some (fun () -> Grid_rebac.Pep.revision pep)
-    | Baseline | Flat_file _ | Custom _ -> None
-
-  let make_resource ?(name = "resource") ?(nodes = 4) ?(cpus_per_node = 8) ?queues
-      ?(gridmap = Grid_gsi.Gridmap.empty) ?dynamic_accounts ?static_limits
-      ?dynamic_limits ?gatekeeper_pep ?allocation ?network ?request_timeout
-      ?authz_cache ?store ?sts ~backend t =
-    let lrm = Grid_lrm.Lrm.create ~obs:t.obs ?queues ~nodes ~cpus_per_node t.engine in
-    let pool =
-      Option.map
-        (fun size ->
-          Grid_accounts.Pool.create ~size ~lease_lifetime:(Grid_sim.Clock.hours 8.0) ())
-        dynamic_accounts
+  let make_resource ?(name = "resource") ?nodes ?cpus_per_node ?queues ?gridmap
+      ?dynamic_accounts ?static_limits ?dynamic_limits ?gatekeeper_pep ?allocation
+      ?network ?request_timeout ?authz_cache ?store ?sts ~backend t =
+    let pep, mode =
+      match backend with
+      | Baseline -> (None, None)
+      | Custom authorization -> (None, Some (Grid_gram.Mode.extended authorization))
+      | Flat_file sources -> (Some (Site.pep ~obs:t.obs ~rebac:false sources), None)
+      | Rebac p -> (Some (Site.rebac_pep p), None)
     in
-    let mapper =
-      Grid_accounts.Mapper.create ?pool ?static_limits ?dynamic_limits gridmap
-    in
-    let mode, epoch = mode_and_epoch_of_backend ~obs:t.obs backend in
-    let revision = revision_of_backend backend in
-    (* Tokenized resource ([?sts]): a validator attached to the service
-       plus the token-validating PEP composed outside the backend's batch
-       lane — the token gate first, the policy engine's verdict and
-       reason unchanged for valid presenters. The baseline mode has no
-       callout to gate and is left alone. *)
-    let validator =
-      Option.map
-        (fun s -> Grid_sts.Service.attach_validator s ~obs:t.obs ~name ())
-        sts
-    in
-    let mode =
-      match (sts, mode) with
-      | None, _ | _, Grid_gram.Mode.Gt2_baseline -> mode
-      | Some s, Grid_gram.Mode.Extended { authorization; advice; backend } ->
-        Grid_gram.Mode.Extended
-          { authorization =
-              Grid_sts.Pep.batch ~obs:t.obs ?validator
-                ~sts_key:(Grid_sts.Service.public_key s) ~audience:"*"
-                ~now:(fun () -> Grid_sim.Engine.now t.engine)
-                authorization;
-            advice;
-            backend }
-    in
-    let authz_cache =
-      Option.map
-        (fun capacity ->
-          Grid_callout.Cache.create ~capacity ~ttl:(Grid_sim.Clock.minutes 5.0)
-            ~obs:t.obs ?epoch ?revision
-            ?extra_deadline:
-              (Option.map (fun _ -> Grid_sts.Token.credential_deadline) sts)
-            ~revoked:(fun cred ->
-              List.exists
-                (Grid_gsi.Ca.Trust_store.is_revoked t.trust)
-                cred.Grid_gsi.Credential.chain)
-            ~now:(fun () -> Grid_sim.Engine.now t.engine)
-            ())
-        authz_cache
-    in
-    (match (validator, authz_cache) with
-    | Some v, Some c ->
-      Grid_sts.Validator.on_revocation v (fun ~jti:_ ~subject:_ ->
-          Grid_callout.Cache.invalidate c)
-    | _ -> ());
-    Grid_gram.Resource.create ~name ?gatekeeper_pep ?allocation ?network ?request_timeout
-      ?authz_cache ?store ?policy_epoch:epoch ~obs:t.obs ~trust:t.trust ~mapper ~mode
-      ~lrm ~engine:t.engine ()
+    (Site.resource ?queues ?nodes ?cpus_per_node ?gridmap ?dynamic_accounts ?static_limits
+       ?dynamic_limits ?gatekeeper_pep ?allocation ?network ?request_timeout ?authz_cache
+       ?store ?sts ?pep ?mode ~name ~engine:t.engine ~trust:t.trust ~obs:t.obs ())
+      .resource
 
   let client _t ~user ~resource =
     Grid_gram.Client.create ~identity:user ~resource ()
@@ -206,98 +131,23 @@ module Fusion = struct
       ?queues ?faults ?(fault_seed = 1299709) ?request_timeout ?flaky_pep ?authz_cache
       ?(store = false) ?snapshot_every ?disk_faults ?fleet ?population
       ?dynamic_accounts ?broker_seed ?sts () =
-    (* Token mode: one service with the default permissive relation —
-       the policy engines stay the sole deniers, so tokenized worlds are
-       differentially comparable to the proxy path. Clients present
-       proxies carrying the token as an extension. *)
-    let make_sts testbed =
-      Option.map
-        (fun mode ->
-          Grid_sts.Service.create ~name:"fusion-sts" ~mode
-            ~engine:(Testbed.engine testbed) ~trust:(Testbed.trust testbed)
-            ~obs:(Testbed.obs testbed) ())
-        sts
-    in
-    let tokenize sts_service testbed identity =
-      match sts_service with
-      | None -> identity
-      | Some s -> begin
-        match
-          Grid_sts.Service.proxy_with_token s ~now:(Testbed.now testbed) identity
-        with
-        | Ok (proxy, _token) -> proxy
-        | Error e ->
-          invalid_arg
-            ("Fusion.build: token exchange refused: "
-            ^ Grid_sts.Service.exchange_error_to_string e)
-      end
-    in
-    match fleet with
-    | Some resources ->
-      (* Federated variant: [resources] full members behind one MDS. The
-         population (when given) contributes its own policy source and a
-         dynamic-account pool for its unmapped DNs; the Figure 3 cast
-         keeps its static gridmap entries. Only the self-hosted backends
-         replicate per member. *)
-      if (backend <> `Flat_file && backend <> `Rebac) || Option.is_some flaky_pep
-         || Option.is_some snapshot_every || Option.is_some disk_faults
-      then
-        invalid_arg
-          "Fusion.build: a fleet replicates the flat-file or rebac backend only";
-      let testbed = Testbed.create () in
-      let vo = build_vo () in
-      (* Combination is conjunctive with per-source default-deny, so the
-         population merges INTO both sources (owner statements into
-         resource-owner, community grants into the VO's) — a third
-         stand-alone source would deny the Figure 3 cast and vice
-         versa. *)
-      let sources () =
-        match population with
-        | None -> policy_sources vo
-        | Some p ->
-          [ Grid_policy.Combine.source ~name:"resource-owner"
-              (resource_owner_policy () @ Population.owner_policy p);
-            Grid_policy.Combine.source ~name:(Grid_vo.Vo.name vo)
-              (Grid_vo.Vo.compile_policy vo @ Population.policy p) ]
-      in
-      let dynamic_accounts =
-        match (dynamic_accounts, population) with
-        | (Some _ as given), _ -> given
-        | None, Some p -> Some (min (Population.size p) 8192)
-        | None, None -> None
-      in
-      let sts_service = make_sts testbed in
-      let fleet =
-        Fleet.create ~resources ~name_prefix:"fusion-site" ~nodes ~cpus_per_node ?queues
-          ~gridmap:(Grid_gsi.Gridmap.parse gridmap_text) ?dynamic_accounts
-          ~rebac:(rebac || backend = `Rebac) ?authz_cache ~store ?faults ~fault_seed
-          ?request_timeout ?seed:broker_seed ?sts:sts_service ~sources
-          ~engine:(Testbed.engine testbed) ~trust:(Testbed.trust testbed)
-          ~obs:(Testbed.obs testbed) ()
-      in
-      let resource = Fleet.member_resource (Fleet.member fleet 0) in
-      let mk dn =
-        Testbed.client testbed
-          ~user:(tokenize sts_service testbed (Testbed.add_user testbed dn))
-          ~resource
-      in
-      { testbed;
-        vo;
-        resource;
-        bo = mk bo_liu;
-        kate = mk kate_keahey;
-        vo_admin = mk admin;
-        fleet = Some fleet;
-        population;
-        sts = sts_service }
-    | None ->
+    (* Only the self-hosted backends replicate per fleet member. *)
+    if Option.is_some fleet
+       && ((backend <> `Flat_file && backend <> `Rebac) || Option.is_some flaky_pep
+          || Option.is_some snapshot_every || Option.is_some disk_faults)
+    then
+      invalid_arg "Fusion.build: a fleet replicates the flat-file or rebac backend only";
     let testbed = Testbed.create () in
+    let engine = Testbed.engine testbed and obs = Testbed.obs testbed in
     let vo = build_vo () in
-    (* The single-resource world enforces the same sources a 1-member
-       fleet would: VO + resource-owner policy, with the population
-       merged into both (see the fleet branch) — the differential fleet
-       suite pins the two paths against each other. *)
-    let world_sources () =
+    (* Combination is conjunctive with per-source default-deny, so the
+       population merges INTO both sources (owner statements into
+       resource-owner, community grants into the VO's) — a third
+       stand-alone source would deny the Figure 3 cast and vice versa.
+       The plain world and every fleet member enforce the same sources;
+       the differential fleet suite pins the two paths against each
+       other. *)
+    let sources () =
       match population with
       | None -> policy_sources vo
       | Some p ->
@@ -306,72 +156,104 @@ module Fusion = struct
           Grid_policy.Combine.source ~name:(Grid_vo.Vo.name vo)
             (Grid_vo.Vo.compile_policy vo @ Population.policy p) ]
     in
-    (* [~rebac:true] swaps the PEP for the relationship-based backend
-       over the same policy sources; decisions are differentially pinned
-       to the flat-file PEP's, so the world behaves identically. *)
-    let backend = if rebac then `Rebac else backend in
-    let backend =
-      match (backend, flaky_pep) with
-      | `Baseline, _ -> Baseline
-      | `Flat_file, None -> Flat_file (world_sources ())
-      | `Flat_file, Some failure_probability ->
-        (* Chaos variant: the flat-file PEP behind a seeded fault injector.
-           No degradation combinator is applied, so backend faults surface
-           as Authz_system_failure — refusal, never a silent permit
-           (default-deny preserved). *)
-        let rng = Grid_util.Rng.create ~seed:(fault_seed + 17) in
-        Custom
-          (Grid_callout.Callout.flaky ~rng ~failure_probability
-             (Grid_callout.File_pep.of_sources ~obs:(Testbed.obs testbed)
-                (world_sources ())))
-      | `Rebac, None ->
-        Rebac (Grid_rebac.Pep.create ~obs:(Testbed.obs testbed) (world_sources ()))
-      | `Rebac, Some failure_probability ->
-        let rng = Grid_util.Rng.create ~seed:(fault_seed + 17) in
-        Custom
-          (Grid_callout.Callout.flaky ~rng ~failure_probability
-             (Grid_rebac.Pep.of_sources ~obs:(Testbed.obs testbed) (world_sources ())))
-      | `Custom callout, None -> Custom callout
-      | `Custom callout, Some failure_probability ->
-        let rng = Grid_util.Rng.create ~seed:(fault_seed + 17) in
-        Custom (Grid_callout.Callout.flaky ~rng ~failure_probability callout)
-    in
-    let network =
-      Option.map
-        (fun profile ->
-          Grid_sim.Network.create ~faults:profile ~fault_seed (Testbed.engine testbed))
-        faults
-    in
-    (* The durable job-manager store: a simulated disk seeded off the
-       fault seed (its own stream, independent of the network's), with
-       journal-per-append durability and optional snapshot compaction. *)
-    let store =
-      if store || Option.is_some snapshot_every || Option.is_some disk_faults then begin
-        let disk =
-          Grid_sim.Disk.create ?faults:disk_faults ~seed:(fault_seed + 29) ()
-        in
-        Some
-          (Grid_store.Store.create ~obs:(Testbed.obs testbed) ?snapshot_every ~disk
-             ~name:"fusion-site" ())
-      end
-      else None
-    in
+    (* The population's unmapped DNs lease dynamic accounts; the Figure 3
+       cast keeps its static gridmap entries. *)
     let dynamic_accounts =
       match (dynamic_accounts, population) with
       | (Some _ as given), _ -> given
       | None, Some p -> Some (min (Population.size p) 8192)
       | None, None -> None
     in
-    let sts_service = make_sts testbed in
-    let resource =
-      Testbed.make_resource testbed ~name:"fusion-site" ~nodes ~cpus_per_node ?queues
-        ~gridmap:(Grid_gsi.Gridmap.parse gridmap_text) ?dynamic_accounts ?network
-        ?request_timeout ?authz_cache ?store ?sts:sts_service ~backend
+    let gridmap = Grid_gsi.Gridmap.parse gridmap_text in
+    (* Token mode: one service with the default permissive relation —
+       the policy engines stay the sole deniers, so tokenized worlds are
+       differentially comparable to the proxy path. Clients present
+       proxies carrying the token as an extension. *)
+    let sts_service =
+      Option.map
+        (fun mode ->
+          Grid_sts.Service.create ~name:"fusion-sts" ~mode ~engine
+            ~trust:(Testbed.trust testbed) ~obs ())
+        sts
+    in
+    let resource, fleet =
+      match fleet with
+      | Some resources ->
+        (* Federated variant: [resources] full members behind one MDS. *)
+        let fleet =
+          Fleet.create ~resources ~name_prefix:"fusion-site" ~nodes ~cpus_per_node ?queues
+            ~gridmap ?dynamic_accounts ~rebac:(rebac || backend = `Rebac) ?authz_cache
+            ~store ?faults ~fault_seed ?request_timeout ?seed:broker_seed
+            ?sts:sts_service ~sources ~engine ~trust:(Testbed.trust testbed) ~obs ()
+        in
+        (Fleet.member_resource (Fleet.member fleet 0), Some fleet)
+      | None ->
+        (* [~rebac:true] swaps the PEP for the relationship-based backend
+           over the same policy sources; decisions are differentially
+           pinned to the flat-file PEP's, so the world behaves
+           identically. *)
+        let backend = if rebac then `Rebac else backend in
+        let backend =
+          match (backend, flaky_pep) with
+          | `Baseline, _ -> Baseline
+          | `Flat_file, None -> Flat_file (sources ())
+          | `Rebac, None -> Rebac (Grid_rebac.Pep.create ~obs (sources ()))
+          | `Custom callout, None -> Custom callout
+          | ((`Flat_file | `Rebac | `Custom _) as backend), Some failure_probability ->
+            (* Chaos variant: the PEP behind a seeded fault injector. No
+               degradation combinator is applied, so backend faults
+               surface as Authz_system_failure — refusal, never a silent
+               permit (default-deny preserved). *)
+            let callout =
+              match backend with
+              | `Flat_file -> Grid_callout.File_pep.of_sources ~obs (sources ())
+              | `Rebac -> Grid_rebac.Pep.of_sources ~obs (sources ())
+              | `Custom callout -> callout
+            in
+            let rng = Grid_util.Rng.create ~seed:(fault_seed + 17) in
+            Custom (Grid_callout.Callout.flaky ~rng ~failure_probability callout)
+        in
+        let network =
+          Option.map
+            (fun profile -> Grid_sim.Network.create ~faults:profile ~fault_seed engine)
+            faults
+        in
+        (* The durable job-manager store: a simulated disk seeded off the
+           fault seed (its own stream, independent of the network's),
+           with journal-per-append durability and optional snapshot
+           compaction. *)
+        let store =
+          if store || Option.is_some snapshot_every || Option.is_some disk_faults then begin
+            let disk =
+              Grid_sim.Disk.create ?faults:disk_faults ~seed:(fault_seed + 29) ()
+            in
+            Some
+              (Grid_store.Store.create ~obs ?snapshot_every ~disk ~name:"fusion-site" ())
+          end
+          else None
+        in
+        ( Testbed.make_resource testbed ~name:"fusion-site" ~nodes ~cpus_per_node ?queues
+            ~gridmap ?dynamic_accounts ?network ?request_timeout ?authz_cache ?store
+            ?sts:sts_service ~backend,
+          None )
     in
     let mk dn =
-      Testbed.client testbed
-        ~user:(tokenize sts_service testbed (Testbed.add_user testbed dn))
-        ~resource
+      let identity = Testbed.add_user testbed dn in
+      let user =
+        match sts_service with
+        | None -> identity
+        | Some s -> begin
+          match
+            Grid_sts.Service.proxy_with_token s ~now:(Testbed.now testbed) identity
+          with
+          | Ok (proxy, _token) -> proxy
+          | Error e ->
+            invalid_arg
+              ("Fusion.build: token exchange refused: "
+              ^ Grid_sts.Service.exchange_error_to_string e)
+        end
+      in
+      Testbed.client testbed ~user ~resource
     in
     { testbed;
       vo;
@@ -379,7 +261,7 @@ module Fusion = struct
       bo = mk bo_liu;
       kate = mk kate_keahey;
       vo_admin = mk admin;
-      fleet = None;
+      fleet;
       population;
       sts = sts_service }
 end

@@ -12,27 +12,23 @@
    a jobtag granted by the VO policy authorizes cancel/signal on ANY
    member's jobs carrying that tag, so a management request must first
    be routed to the member that owns the contact. The fleet keeps a
-   contact -> member route table (fed by submissions, trimmed on
-   terminal job events so it stays O(live jobs)) and falls back to
-   probing members' JMI tables for contacts it has never seen — e.g.
-   jobs submitted behind the fleet's back or restored after a crash.
+   contact -> member route table (fed by submissions, trimmed when the
+   member's LRM reports a job terminal, so it stays O(live jobs)) and
+   falls back to probing members' JMI tables for contacts it does not
+   route — finished jobs, jobs submitted behind the fleet's back or
+   restored after a crash.
 
+   Each member is wired by [Site], as every other resource in [Core] is.
    Layering note: this module sits below [Core] (it compiles first), so
    it cannot use [Testbed]; callers hand it the engine, trust store and
    observability handle explicitly. [Core.Fusion.build ?fleet] does the
    assembly for the standard world. *)
 
 type member = {
-  index : int;
   name : string;
-  resource : Grid_gram.Resource.t;
+  site : Site.t;
+  pep : Site.pep;  (* the member's own policy index and epoch *)
   provider : Grid_mds.Provider.t;
-  epoch : unit -> int;
-  reload_sources : Grid_policy.Combine.source list -> unit;
-  cache : Grid_callout.Cache.t option;
-  store : Grid_store.Store.t option;
-  validator : Grid_sts.Validator.t option;
-      (* the member's revocation view when the fleet runs tokenized *)
 }
 
 type t = {
@@ -67,30 +63,6 @@ let submit_error_to_string = function
           Printf.sprintf "  %s: %s" site (Grid_gram.Protocol.submit_error_to_string e))
         timeouts
 
-(* One member's policy evaluation point. Mirrors
-   [Testbed.mode_and_epoch_of_backend] for the two self-hosted backends;
-   each member compiles its own index so epochs advance independently.
-   [wrap] composes an outer gate around the batch lane before it becomes
-   the mode — the token-validating PEP plugs in here, so the gate and
-   the policy engine reload/epoch machinery stay independent. *)
-let backend_for ~obs ?(wrap = fun batch -> batch) ~rebac sources =
-  if rebac then begin
-    let pep = Grid_rebac.Pep.create ~obs sources in
-    ( Grid_gram.Mode.extended_batch ~backend:"rebac" (wrap (Grid_rebac.Pep.batch pep)),
-      (fun () -> Grid_rebac.Pep.epoch pep),
-      Some (fun () -> Grid_rebac.Pep.revision pep),
-      Grid_rebac.Pep.reload pep )
-  end
-  else begin
-    let pep = Grid_callout.File_pep.Compiled.create ~obs sources in
-    ( Grid_gram.Mode.extended_batch ~backend:"flat_file"
-        ~advice:(Grid_callout.File_pep.advice sources)
-        (wrap (Grid_callout.File_pep.Compiled.batch pep)),
-      (fun () -> Grid_callout.File_pep.Compiled.epoch pep),
-      None,
-      Grid_callout.File_pep.Compiled.reload pep )
-  end
-
 let create ?(resources = 4) ?(name_prefix = "site") ?(nodes = 4) ?(cpus_per_node = 8)
     ?queues ?(gridmap = Grid_gsi.Gridmap.empty) ?dynamic_accounts ?(rebac = false)
     ?authz_cache ?(store = false) ?faults ?(fault_seed = 1299709) ?request_timeout
@@ -105,53 +77,9 @@ let create ?(resources = 4) ?(name_prefix = "site") ?(nodes = 4) ?(cpus_per_node
        is what lets the safety monitor judge epoch freshness per member
        and the metrics dashboard break the fleet down by site. *)
     let obs = Grid_obs.Obs.scoped obs [ ("resource", name) ] in
-    let lrm = Grid_lrm.Lrm.create ~obs ?queues ~nodes ~cpus_per_node engine in
-    let pool =
-      Option.map
-        (fun size ->
-          Grid_accounts.Pool.create ~size ~lease_lifetime:(Grid_sim.Clock.hours 8.0) ())
-        dynamic_accounts
-    in
-    let mapper = Grid_accounts.Mapper.create ?pool gridmap in
-    (* Tokenized fleet: every member validates tokens against its own
-       revocation view (fed per the service's distribution mode) before
-       its policy engine sees the query. *)
-    let validator =
-      Option.map (fun s -> Grid_sts.Service.attach_validator s ~obs ~name ()) sts
-    in
-    let wrap =
-      Option.map
-        (fun s ->
-          Grid_sts.Pep.batch ~obs ?validator
-            ~sts_key:(Grid_sts.Service.public_key s) ~audience:"*"
-            ~now:(fun () -> Grid_sim.Engine.now engine))
-        sts
-    in
-    let mode, epoch, revision, reload_sources =
-      backend_for ~obs ?wrap ~rebac (sources ())
-    in
-    let cache =
-      Option.map
-        (fun capacity ->
-          Grid_callout.Cache.create ~capacity ~ttl:(Grid_sim.Clock.minutes 5.0) ~obs
-            ~epoch ?revision
-            ?extra_deadline:
-              (Option.map (fun _ -> Grid_sts.Token.credential_deadline) sts)
-            ~revoked:(fun cred ->
-              List.exists
-                (Grid_gsi.Ca.Trust_store.is_revoked trust)
-                cred.Grid_gsi.Credential.chain)
-            ~now:(fun () -> Grid_sim.Engine.now engine)
-            ())
-        authz_cache
-    in
-    (* A cached permit never outlives a revoked jti: the validator's
-       apply hook flushes this member's decision cache. *)
-    (match (validator, cache) with
-    | Some v, Some c ->
-      Grid_sts.Validator.on_revocation v (fun ~jti:_ ~subject:_ ->
-          Grid_callout.Cache.invalidate c)
-    | _ -> ());
+    (* Each member compiles its own index, so epochs advance
+       independently. *)
+    let pep = Site.pep ~obs ~rebac (sources ()) in
     let network =
       (* Only fault-injected members need their own network; each gets an
          independent fault stream so one seed partitions members
@@ -169,32 +97,24 @@ let create ?(resources = 4) ?(name_prefix = "site") ?(nodes = 4) ?(cpus_per_node
       end
       else None
     in
-    let resource =
-      Grid_gram.Resource.create ~name ?network ?request_timeout
-        ?authz_cache:cache ?store ~policy_epoch:epoch ~obs ~trust ~mapper ~mode ~lrm
-        ~engine ()
+    (* Tokenized fleet: every member validates tokens against its own
+       revocation view before its policy engine sees the query. *)
+    let site =
+      Site.resource ?queues ~nodes ~cpus_per_node ~gridmap ?dynamic_accounts ?network
+        ?request_timeout ?authz_cache ?store ?sts ~pep ~name ~engine ~trust ~obs ()
     in
     let provider =
-      Grid_mds.Provider.attach ~period:provider_period ~site:name ~directory resource
+      Grid_mds.Provider.attach ~period:provider_period ~site:name ~directory site.resource
     in
-    { index = i; name; resource; provider; epoch; reload_sources; cache; store;
-      validator }
+    { name; site; pep; provider }
   in
   let members = Array.init resources member in
   let broker =
     Grid_mds.Broker.create ?precheck ~seed ?breaker_threshold ?breaker_cooldown ~obs
       ~directory
-      (Array.to_list (Array.map (fun m -> m.resource) members))
+      (Array.to_list (Array.map (fun m -> m.site.resource) members))
   in
   let routes = Hashtbl.create 256 in
-  (* Trim routes when jobs reach a terminal state, keeping the table
-     O(live jobs) even under population-scale workloads. *)
-  if Grid_obs.Obs.enabled obs then
-    Grid_obs.Event.subscribe (Grid_obs.Obs.events obs) (fun e ->
-        if e.Grid_obs.Event.kind = "job.terminal" then
-          match List.assoc_opt "contact" e.Grid_obs.Event.attrs with
-          | Some contact -> Hashtbl.remove routes contact
-          | None -> ());
   { engine; obs; directory; broker; members; routes; sources; seed }
 
 let size t = Array.length t.members
@@ -211,11 +131,11 @@ let member_named t name =
   !found
 
 let member_name m = m.name
-let member_resource m = m.resource
-let member_cache m = m.cache
-let member_store m = m.store
-let member_validator m = m.validator
-let member_epoch m = m.epoch ()
+let member_resource m = m.site.resource
+let member_cache m = m.site.cache
+let member_store m = Grid_gram.Resource.store m.site.resource
+let member_validator m = m.site.validator
+let member_epoch m = m.pep.epoch ()
 let member_publications m = Grid_mds.Provider.publications m.provider
 
 let routed_jobs t = Hashtbl.length t.routes
@@ -223,8 +143,26 @@ let routed_jobs t = Hashtbl.length t.routes
 let count t ?(by = 1.0) ~labels name =
   if Grid_obs.Obs.enabled t.obs then Grid_obs.Obs.incr t.obs ~by ~labels name
 
+(* Route a live job and drop the route at its terminal state, keeping
+   the table O(live jobs). The trim watches the job on the member's LRM
+   directly: it needs no durable store (the [job.terminal] event) and
+   sends nothing over the simulated network (a GRAM callback would).
+   Finished jobs are not routed; [locate] probes for them. *)
 let record_route t m contact =
-  Hashtbl.replace t.routes contact m.name
+  match
+    Option.bind (Grid_gram.Resource.find_jmi m.site.resource contact)
+      Grid_gram.Job_manager.lrm_job_id
+  with
+  | None -> ()
+  | Some job -> begin
+    match Grid_lrm.Lrm.query m.site.lrm job with
+    | Ok { Grid_lrm.Lrm.job_state; _ } when not (Grid_lrm.Lrm.is_terminal job_state) ->
+      Hashtbl.replace t.routes contact m.name;
+      Grid_lrm.Lrm.watch m.site.lrm job (fun (Grid_lrm.Lrm.State_changed { job; _ }) ->
+          if Grid_lrm.Lrm.is_terminal job.Grid_lrm.Lrm.state then
+            Hashtbl.remove t.routes contact)
+    | Ok _ | Error _ -> ()
+  end
 
 (* Find the member that owns a contact: the route table first, then a
    probe across JMI tables (restored jobs, out-of-band submissions). *)
@@ -240,7 +178,9 @@ let locate t ~contact =
     let found = ref None in
     Array.iter
       (fun m ->
-        if !found = None && Option.is_some (Grid_gram.Resource.find_jmi m.resource contact)
+        if
+          !found = None
+          && Option.is_some (Grid_gram.Resource.find_jmi m.site.resource contact)
         then begin
           record_route t m contact;
           found := Some m
@@ -317,17 +257,18 @@ let manage ?timeout ?credential_for t ~requester ?credential ~contact action ~re
     let credential =
       match (credential, credential_for) with
       | (Some _ as c), _ | c, None -> c
-      | None, Some mint -> mint m.resource
+      | None, Some mint -> mint m.site.resource
     in
-    Grid_gram.Resource.manage ?timeout m.resource ~requester ?credential ~contact action
-      ~reply
+    Grid_gram.Resource.manage ?timeout m.site.resource ~requester ?credential ~contact
+      action ~reply
 
 let manage_sync t ~requester ?credential ~contact action =
   match locate t ~contact with
   | None -> Error (Grid_gram.Protocol.Unknown_job contact)
   | Some m ->
     count t ~labels:[ ("resource", m.name) ] "fleet_management_routed_total";
-    Grid_gram.Resource.manage_direct m.resource ~requester ?credential ~contact action
+    Grid_gram.Resource.manage_direct m.site.resource ~requester ?credential ~contact
+      action
 
 (* Batched management across the fleet: requests are grouped by owning
    member (members in index order, requests in arrival order within each
@@ -367,23 +308,23 @@ let manage_many ?credential_for t (requests : Grid_gram.Resource.manage_request 
               (fun (r : Grid_gram.Resource.manage_request) ->
                 match r.Grid_gram.Resource.credential with
                 | Some _ -> r
-                | None -> { r with credential = mint m.resource r })
+                | None -> { r with credential = mint m.site.resource r })
               group
         in
-        let replies = Grid_gram.Resource.manage_many_direct m.resource group in
+        let replies = Grid_gram.Resource.manage_many_direct m.site.resource group in
         Array.iteri (fun k (i, _) -> results.(i) <- replies.(k)) pairs)
     t.members;
   results
 
 let reload_member t i =
   let m = t.members.(i) in
-  m.reload_sources (t.sources ());
-  m.epoch ()
+  m.pep.reload (t.sources ());
+  m.pep.epoch ()
 
 let reload t = Array.iteri (fun i _ -> ignore (reload_member t i)) t.members
 
-let crash_member t i = Grid_gram.Resource.crash t.members.(i).resource
-let recover_member t i = Grid_gram.Resource.recover t.members.(i).resource
+let crash_member t i = Grid_gram.Resource.crash t.members.(i).site.resource
+let recover_member t i = Grid_gram.Resource.recover t.members.(i).site.resource
 
 let refresh t =
   Array.iter (fun m -> Grid_mds.Provider.publish_now m.provider) t.members
@@ -395,5 +336,5 @@ let quiesce t =
   Array.iter
     (fun m ->
       Grid_mds.Provider.stop m.provider;
-      Option.iter Grid_sts.Validator.stop m.validator)
+      Option.iter Grid_sts.Validator.stop m.site.validator)
     t.members

@@ -90,8 +90,9 @@ val member_epoch : member -> int
 val member_publications : member -> int
 
 val routed_jobs : t -> int
-(** Live entries in the contact routing table (trimmed on terminal job
-    events, so O(live jobs)). *)
+(** Live entries in the contact routing table: a route is dropped when
+    the owning member's LRM reports the job terminal, with or without a
+    durable store, so the table is O(live jobs). *)
 
 (** {1 Placement} *)
 

@@ -269,15 +269,13 @@ let run (config : config) : report =
   Grid_vo.Vo.add_member vo ~dn:mallory ~groups:[ "analysts" ];
   let sources () = Fusion_world.policy_sources vo in
   let initial_sources = sources () in
-  (* The configured PEP behind a uniform handle: callout, epoch source,
-     reload. The oracle side is symmetric — [answerer_for] snapshots the
+  (* The oracle side of the configured PEP: [answerer_for] snapshots the
      sources into a closure the monitor can re-derive answers from. *)
   let answerer_for =
     match config.pep with
     | Flat_file_pep -> flat_file_answerer
     | Rebac_pep -> rebac_answerer
   in
-  let backend_label = pep_backend_to_string config.pep in
 
   (* Default-deny mis-wiring: while armed, the next Denied answer from a
      real PEP is flipped to a permit — under the live request's
@@ -302,46 +300,15 @@ let run (config : config) : report =
       if config.resources = 1 then obs
       else Grid_obs.Obs.scoped obs [ ("resource", name) ]
     in
-    let pep_callout, epoch, reload_pep =
-      match config.pep with
-      | Flat_file_pep ->
-        let pep = Grid_callout.File_pep.Compiled.create ~obs initial_sources in
-        ( Grid_callout.File_pep.Compiled.callout pep,
-          (fun () -> Grid_callout.File_pep.Compiled.epoch pep),
-          Grid_callout.File_pep.Compiled.reload pep )
-      | Rebac_pep ->
-        let pep = Grid_rebac.Pep.create ~obs initial_sources in
-        ( Grid_rebac.Pep.callout pep,
-          (fun () -> Grid_rebac.Pep.epoch pep),
-          Grid_rebac.Pep.reload pep )
-    in
-    history := (epoch (), answerer_for initial_sources) :: !history;
+    let pep = Site.pep ~obs ~rebac:(config.pep = Rebac_pep) initial_sources in
+    history := (pep.epoch (), answerer_for initial_sources) :: !history;
     let callout q =
-      match pep_callout q with
+      match Grid_callout.Callout.Batch.check pep.authorization q with
       | Error (Grid_callout.Callout.Denied _) when !flip_next_denial ->
         flip_next_denial := false;
         Ok ()
       | decision -> decision
     in
-    (* Token mode: a per-member validator (fed per the service's
-       distribution mode) and the token-gating PEP outside the policy
-       callout — the token is checked first, then the same inner engine
-       decides, so non-revoked subjects get bit-identical answers. *)
-    let validator =
-      Option.map
-        (fun s -> Grid_sts.Service.attach_validator s ~obs ~name ())
-        sts
-    in
-    let callout =
-      match sts with
-      | None -> callout
-      | Some s ->
-        Grid_sts.Pep.callout ~obs ?validator
-          ~sts_key:(Grid_sts.Service.public_key s) ~audience:"*"
-          ~now:(fun () -> Grid_sim.Engine.now engine)
-          callout
-    in
-    let mode = Grid_gram.Mode.extended ~backend:backend_label callout in
     let network =
       Grid_sim.Network.create ?faults:(network_faults config.faults)
         ~fault_seed:(config.seed + 17 + (31 * i)) engine
@@ -351,41 +318,29 @@ let run (config : config) : report =
         ~seed:(config.seed + 29 + (101 * i)) ()
     in
     let store = Grid_store.Store.create ~obs ~snapshot_every:64 ~disk ~name () in
-    let authz_cache =
-      Grid_callout.Cache.create ~capacity:2048 ~ttl:(Grid_sim.Clock.minutes 5.0) ~obs
-        ~epoch
-        ?extra_deadline:(Option.map (fun _ -> Grid_sts.Token.credential_deadline) sts)
-        ~now:(fun () -> Grid_sim.Engine.now engine)
-        ()
+    (* Single-lane mode: the flip gate wraps the PEP's single lane, so a
+       batch is answered one query at a time through it (inside the token
+       gate, when there is one). *)
+    let site =
+      Site.resource ~nodes:8 ~cpus_per_node:8
+        ~gridmap:(Grid_gsi.Gridmap.parse gridmap_text)
+        ~network ?request_timeout ~authz_cache:2048 ~store ?sts ~pep
+        ~mode:(Grid_gram.Mode.extended ~backend:pep.backend callout)
+        ~name ~engine ~trust ~obs ()
     in
-    (* A cached permit must not outlive the jti that earned it: any
-       revocation this member's validator applies flushes the cache. *)
-    Option.iter
-      (fun v ->
-        Grid_sts.Validator.on_revocation v (fun ~jti:_ ~subject:_ ->
-            Grid_callout.Cache.invalidate authz_cache))
-      validator;
-    let resource =
-      Grid_gram.Resource.create ~name ~network ?request_timeout ~authz_cache ~store
-        ~policy_epoch:epoch ~obs ~trust
-        ~mapper:(Grid_accounts.Mapper.create (Grid_gsi.Gridmap.parse gridmap_text))
-        ~mode
-        ~lrm:(Grid_lrm.Lrm.create ~obs ~nodes:8 ~cpus_per_node:8 engine)
-        ~engine ()
-    in
-    (resource, epoch, reload_pep)
+    (site.resource, pep)
   in
   let members = Array.init config.resources make_member in
-  let member_resources = Array.map (fun (r, _, _) -> r) members in
+  let member_resources = Array.map fst members in
   let resource = member_resources.(0) in
-  let epoch = (fun (_, e, _) -> e) members.(0) in
+  let epoch = (snd members.(0)).Site.epoch in
   let epoch0 = epoch () in
   (* Federation plumbing only past one member: each resource publishes
      into a shared directory, and arrivals place through the broker's
      pure ranked selection (capacity-aware, seeded tie-break, breakers
      fed from submission outcomes). *)
-  let directory, providers, broker =
-    if config.resources = 1 then (None, [], None)
+  let providers, broker =
+    if config.resources = 1 then ([], None)
     else begin
       let directory = Grid_mds.Directory.create engine in
       let providers =
@@ -399,10 +354,9 @@ let run (config : config) : report =
         Grid_mds.Broker.create ~seed:config.seed ~obs ~directory
           (Array.to_list member_resources)
       in
-      (Some directory, providers, Some broker)
+      (providers, Some broker)
     end
   in
-  ignore directory;
   let round_robin = ref 0 in
   let pick_resource rsl =
     match broker with
@@ -623,17 +577,13 @@ let run (config : config) : report =
              deliberately enforces mixed policy generations — the oracle
              history keyed by epoch keeps the monitor exact through it. *)
           Array.iteri
-            (fun m (_, epoch, reload_pep) ->
-              if m = 0 then begin
-                reload_pep fresh;
-                history := (epoch (), answerer_for fresh) :: !history
-              end
-              else
-                Grid_sim.Engine.schedule_after engine
-                  (float_of_int m *. 5.0)
-                  (fun () ->
-                    reload_pep fresh;
-                    history := (epoch (), answerer_for fresh) :: !history))
+            (fun m (_, (pep : Site.pep)) ->
+              let reload () =
+                pep.reload fresh;
+                history := (pep.epoch (), answerer_for fresh) :: !history
+              in
+              if m = 0 then reload ()
+              else Grid_sim.Engine.schedule_after engine (float_of_int m *. 5.0) reload)
             members;
           incr reloads))
     churn_points;

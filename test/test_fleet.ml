@@ -1,6 +1,6 @@
 (* The fleet's differential test-suite.
 
-   Four sections, each pinning a federation-level promise to the
+   Five sections, each pinning a federation-level promise to the
    single-resource ground truth:
 
    - differential: a 1-member fleet reached through the broker must be
@@ -11,6 +11,9 @@
      authorizes third-party management of tagged jobs wherever the fleet
      placed them, and the routed answer equals the owning member's local
      decision;
+   - routing: the contact route table stays O(live jobs) without a
+     durable store, and finished jobs still route through the JMI
+     probe;
    - population: the subject synthesizer is a pure function of
      (seed, rank), zipfian in the documented shape, and O(1) resident;
    - broker churn: stale, deregistered and partitioned members are never
@@ -268,6 +271,67 @@ let test_cross_resource_jobtag seed () =
     Alcotest.failf "wrong denial class: %s" (Gram.Protocol.management_error_to_string e)
   | Ok _ -> Alcotest.fail "outsider must not cancel"
 
+(* --- Route table stays O(live jobs) -------------------------------------- *)
+
+let live_jmis fleet =
+  List.fold_left
+    (fun acc m ->
+      List.fold_left
+        (fun acc jmi ->
+          match Gram.Job_manager.status jmi with
+          | Ok { Gram.Protocol.state = Pending | Active | Suspended; _ } -> acc + 1
+          | Ok _ | Error _ -> acc)
+        acc
+        (Gram.Resource.jobs (Fleet.member_resource m)))
+    0 (Fleet.members fleet)
+
+(* A storeless fleet emits no job.terminal events, so route trimming
+   cannot hang off the event bus: the fleet watches each routed job on
+   its member's LRM. A finished job's contact still reaches its owner
+   through the JMI probe. *)
+let test_routes_trimmed_without_store () =
+  let pop = Population.create ~seed:42 ~size:population_size in
+  let w = Fusion.build ~fleet:4 ~population:pop () in
+  let fleet = Option.get w.Fusion.fleet in
+  let stats =
+    Workload.run_population ~fleet ~population:pop ~ca:(Testbed.ca w.Fusion.testbed)
+      { Workload.default_population_config with Workload.pop_job_count = 400 }
+  in
+  Alcotest.(check bool) "the campaign placed jobs" true
+    (stats.Workload.tally.Workload.accepted > 50);
+  let live = live_jmis fleet in
+  Alcotest.(check bool)
+    (Printf.sprintf "routed_jobs %d <= live JMIs %d" (Fleet.routed_jobs fleet) live)
+    true
+    (Fleet.routed_jobs fleet <= live);
+  let owner, jmi =
+    List.find_map
+      (fun m ->
+        List.find_map
+          (fun jmi ->
+            match Gram.Job_manager.status jmi with
+            | Ok { Gram.Protocol.state = Done; _ } -> Some (m, jmi)
+            | Ok _ | Error _ -> None)
+          (Gram.Resource.jobs (Fleet.member_resource m)))
+      (Fleet.members fleet)
+    |> Option.get
+  in
+  let contact = Gram.Job_manager.contact jmi in
+  let requester = Gram.Job_manager.owner jmi in
+  Alcotest.(check (option string))
+    "finished job located at its owner" (Some (Fleet.member_name owner))
+    (Option.map Fleet.member_name (Fleet.locate fleet ~contact));
+  let local =
+    Gram.Resource.manage_direct (Fleet.member_resource owner) ~requester ~contact
+      Gram.Protocol.Status
+  in
+  let routed = Fleet.manage_sync fleet ~requester ~contact Gram.Protocol.Status in
+  Alcotest.(check string) "routed = local for a finished job"
+    (manage_label ~contact local) (manage_label ~contact routed);
+  match routed with
+  | Error (Gram.Protocol.Unknown_job _) -> Alcotest.fail "finished job unroutable"
+  | Ok _ | Error _ -> ()
+
 (* --- Population synthesizer properties --------------------------------- *)
 
 let qcheck_dn_deterministic =
@@ -485,6 +549,9 @@ let () =
             Alcotest.test_case (Printf.sprintf "seed %d" seed) `Quick
               (test_cross_resource_jobtag seed))
           seeds );
+      ( "routing",
+        [ Alcotest.test_case "routes trimmed without a store" `Quick
+            test_routes_trimmed_without_store ] );
       ( "population",
         [ QCheck_alcotest.to_alcotest qcheck_dn_deterministic;
           QCheck_alcotest.to_alcotest qcheck_dn_distinct;

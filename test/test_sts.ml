@@ -1,6 +1,6 @@
 (* The STS differential gate and unit suite.
 
-   Five sections:
+   Six sections:
 
    - token: the signed capability token itself — codec round-trip,
      tamper evidence, every verify refusal, entitlement matching;
@@ -9,6 +9,8 @@
    - enforcement: for each distribution mode, after a revocation at T
      no token-authorized permit happens later than T + the mode's
      propagation window;
+   - revocation: an applied token revocation flushes the decision
+     cache of every resource, plain world and fleet members alike;
    - differential: under a pinned seed matrix (1/7/42) a tokenized
      Fusion world must be decision- AND reason-equivalent to the plain
      proxy-path world for identical submission scripts — the token
@@ -23,6 +25,7 @@ module Token = Sts.Token
 module Service = Sts.Service
 module Validator = Sts.Validator
 module Callout = Grid_callout.Callout
+module Cache = Grid_callout.Cache
 
 let dn = Grid_gsi.Dn.parse
 let seeds = [ 1; 7; 42 ]
@@ -453,6 +456,65 @@ let test_differential seed () =
         (List.combine plain tokenized))
     Validator.all_modes
 
+(* --- Revocation flushes the decision cache ------------------------------ *)
+
+(* The decision cache sits outside the token gate, so a cached permit
+   would outlive a revoked token until its TTL: each resource's
+   validator must flush its cache when it applies a revocation. Checked
+   on the plain world and on every member of a fleet. *)
+let revocation_flush_case ?fleet () =
+  let w = Fusion.build ?fleet ~sts:Validator.Push ~authz_cache:64 () in
+  let tb = w.Fusion.testbed in
+  let service = Option.get w.Fusion.sts in
+  let resources =
+    match w.Fusion.fleet with
+    | None -> [ w.Fusion.resource ]
+    | Some f -> List.map Fleet.member_resource (Fleet.members f)
+  in
+  let base = Testbed.user tb Fusion.bo_liu in
+  let proxy, _token =
+    Result.get_ok (Service.proxy_with_token service ~now:(Testbed.now tb) base)
+  in
+  let status (client, contact, _) =
+    Gram.Client.manage_sync client ~contact Gram.Protocol.Status
+  in
+  let sites =
+    List.map
+      (fun resource ->
+        let client = Testbed.client tb ~user:proxy ~resource in
+        let reply =
+          Result.get_ok
+            (Gram.Client.submit_sync client
+               ~rsl:
+                 "&(executable=test1)(directory=/sandbox/test)(jobtag=ADS)(simduration=36000)")
+        in
+        let cache = Option.get (Gram.Resource.authz_cache resource) in
+        (client, reply.Gram.Protocol.job_contact, cache))
+      resources
+  in
+  let invalidations_before =
+    List.map
+      (fun ((_, _, cache) as site) ->
+        Alcotest.(check bool) "first poll permitted" true (Result.is_ok (status site));
+        let hits = Cache.hits cache in
+        Alcotest.(check bool) "repeat poll permitted" true (Result.is_ok (status site));
+        Alcotest.(check int) "repeat poll served from the cache" (hits + 1) (Cache.hits cache);
+        Cache.invalidations cache)
+      sites
+  in
+  Service.revoke_subject service ~now:(Testbed.now tb) (Grid_gsi.Identity.subject base);
+  Testbed.run_for tb (Service.propagation_window service +. 1.0);
+  List.iter2
+    (fun ((_, _, cache) as site) before ->
+      Alcotest.(check bool) "the revocation flushed the cache" true
+        (Cache.invalidations cache > before);
+      match status site with
+      | Error (Gram.Protocol.Not_authorized _) -> ()
+      | Error e ->
+        Alcotest.failf "wrong refusal: %s" (Gram.Protocol.management_error_to_string e)
+      | Ok _ -> Alcotest.fail "revoked token still permitted")
+    sites invalidations_before
+
 (* --- Soak campaigns under the online monitor ----------------------------- *)
 
 let small_config mode =
@@ -514,6 +576,9 @@ let () =
         [ Alcotest.test_case "fails closed" `Quick test_pep_fails_closed;
           Alcotest.test_case "delegates decision and reason" `Quick
             test_pep_delegates_decision_and_reason ] );
+      ( "revocation",
+        [ Alcotest.test_case "plain world" `Quick (revocation_flush_case ?fleet:None);
+          Alcotest.test_case "2-member fleet" `Quick (revocation_flush_case ~fleet:2) ] );
       ( "differential",
         List.map
           (fun seed ->

@@ -22,10 +22,6 @@ type verdict =
   | Granted
   | Refused of string
 
-val user_holds : t -> user:Grid_gsi.Dn.t -> now:Grid_sim.Clock.time -> string * string -> bool
-(** Does a verified attribute certificate from a trusted authority cover
-    this (attribute, value) for the user? *)
-
 val decide : t -> now:Grid_sim.Clock.time -> Grid_policy.Types.request -> verdict
 (** Every stakeholder must contribute a satisfied, applicable
     use-condition; otherwise the request is refused. Served from the
@@ -34,6 +30,5 @@ val decide : t -> now:Grid_sim.Clock.time -> Grid_policy.Types.request -> verdic
 val enable_cache : t -> ttl:Grid_sim.Clock.time -> unit
 (** Cache decisions for [ttl]; the cache is flushed on every publish. *)
 
-val flush_cache : t -> unit
 val cache_hits : t -> int
 val cache_misses : t -> int

@@ -80,9 +80,6 @@ let by_subject t dn =
 let by_job t job_id =
   List.filter (fun r -> r.job_id = Some job_id) (records t)
 
-let by_correlation t corr =
-  List.filter (fun r -> r.corr_id = Some corr) (records t)
-
 let failures t = List.filter (fun r -> is_failure r.outcome) (records t)
 
 let pp_record ppf r =

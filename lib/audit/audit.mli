@@ -61,10 +61,6 @@ val by_kind : t -> kind -> record list
 val by_subject : t -> Grid_gsi.Dn.t -> record list
 val by_job : t -> string -> record list
 
-val by_correlation : t -> string -> record list
-(** Every entry stamped with the given correlation id — the audit-side
-    view of one request's event chain. *)
-
 val failures : t -> record list
 
 val pp_record : record Fmt.t

@@ -19,5 +19,4 @@ val denial_reasons : Audit.t -> (string * int) list
 
 val kind_counts : Audit.t -> (Audit.kind * int) list
 
-val pp_subject_summary : subject_summary Fmt.t
 val pp : Audit.t Fmt.t

@@ -139,8 +139,6 @@ type degradation =
   | Fail_open  (** availability over enforcement: outage => permit *)
   | Fail_closed  (** the paper's default-deny stance: outage => refuse *)
 
-val degradation_label : degradation -> string
-
 val degrade : ?obs:Grid_obs.Obs.t -> degradation -> t -> t
 (** Explicit degradation policy for backend outages. Converts only
     [System_error]/[Bad_configuration] — a [Denied] policy answer is
@@ -152,10 +150,6 @@ val degrade : ?obs:Grid_obs.Obs.t -> degradation -> t -> t
 val flaky : rng:Grid_util.Rng.t -> failure_probability:float -> t -> t
 (** Deterministic fault injector: fail with [System_error] at the given
     probability, sampled from the caller's seeded stream. *)
-
-val credential_expiry : Grid_gsi.Credential.t -> float option
-(** Earliest [not_after] across the presented chain; [None] for an
-    empty chain. *)
 
 val instrument : ?backend:string -> ?epoch:(unit -> int) -> obs:Grid_obs.Obs.t -> t -> t
 (** The timed sibling of {!counting}: wrap a callout so every invocation

@@ -136,7 +136,6 @@ let member_cache m = m.site.cache
 let member_store m = Grid_gram.Resource.store m.site.resource
 let member_validator m = m.site.validator
 let member_epoch m = m.pep.epoch ()
-let member_publications m = Grid_mds.Provider.publications m.provider
 
 let routed_jobs t = Hashtbl.length t.routes
 
@@ -322,9 +321,6 @@ let reload_member t i =
   m.pep.epoch ()
 
 let reload t = Array.iteri (fun i _ -> ignore (reload_member t i)) t.members
-
-let crash_member t i = Grid_gram.Resource.crash t.members.(i).site.resource
-let recover_member t i = Grid_gram.Resource.recover t.members.(i).site.resource
 
 let refresh t =
   Array.iter (fun m -> Grid_mds.Provider.publish_now m.provider) t.members

@@ -87,8 +87,6 @@ val member_validator : member -> Grid_sts.Validator.t option
 val member_epoch : member -> int
 (** The member's current policy epoch. *)
 
-val member_publications : member -> int
-
 val routed_jobs : t -> int
 (** Live entries in the contact routing table: a route is dropped when
     the owning member's LRM reports the job terminal, with or without a
@@ -173,9 +171,6 @@ val reload_member : t -> int -> int
 
 val reload : t -> unit
 (** {!reload_member} for every member. *)
-
-val crash_member : t -> int -> unit
-val recover_member : t -> int -> Grid_gram.Resource.recovery_summary
 
 val refresh : t -> unit
 (** Force an immediate out-of-band publication from every provider. *)

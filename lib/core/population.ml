@@ -81,7 +81,6 @@ let dn t rank =
   if rank < 0 || rank >= t.size then invalid_arg "Population.dn: rank out of range";
   Printf.sprintf "/O=Grid/O=Pop-%s/OU=%s/CN=u%06d" t.tag (group_of_rank rank).name rank
 
-let group_name _t rank = (group_of_rank rank).name
 let jobtag _t rank = (group_of_rank rank).jobtag
 
 (* Zipf(s=1) rank via the continuous inverse CDF: the density 1/(r+1)

@@ -33,10 +33,6 @@ val dn : t -> int -> string
 val organization : t -> string
 (** The community's DN root; every synthesized DN lives under it. *)
 
-val group_name : t -> int -> string
-(** ["developers"] (60%), ["analysts"] (30%) or ["admins"] (10%),
-    interleaved by rank so the zipf head covers all three. *)
-
 val jobtag : t -> int -> string
 (** The jobtag this rank's group submits under. *)
 

@@ -27,18 +27,9 @@ type fault_level =
   | Light
   | Heavy
 
-let fault_level_to_string = function
-  | No_faults -> "none"
-  | Light -> "light"
-  | Heavy -> "heavy"
-
 type pep_backend =
   | Flat_file_pep
   | Rebac_pep
-
-let pep_backend_to_string = function
-  | Flat_file_pep -> "flat_file"
-  | Rebac_pep -> "rebac"
 
 type config = {
   days : float;                (* campaign length in simulated days *)

@@ -19,14 +19,9 @@ type fault_level =
   | Light  (** 1% drops, light duplication and delay *)
   | Heavy  (** 5% drops, heavy delay, torn writes on the store's disk *)
 
-val fault_level_to_string : fault_level -> string
-
 type pep_backend =
   | Flat_file_pep  (** the compiled flat-file policy index *)
   | Rebac_pep  (** the relationship-based (Zanzibar-style) PEP *)
-
-val pep_backend_to_string : pep_backend -> string
-(** The backend label stamped on decision events ("flat_file"/"rebac"). *)
 
 type config = {
   days : float;  (** campaign length in simulated days *)

@@ -40,4 +40,3 @@ let reset_keystore () = Hashtbl.reset keystore
 let pp_public ppf (pk : public) =
   Fmt.pf ppf "pub:%s" (String.sub pk.key_id 0 (min 12 (String.length pk.key_id)))
 
-let public_equal (a : public) (b : public) = String.equal a.key_id b.key_id

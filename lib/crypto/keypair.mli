@@ -36,4 +36,3 @@ val reset_keystore : unit -> unit
 (** Clear the trusted keystore (test setup). *)
 
 val pp_public : public Fmt.t
-val public_equal : public -> public -> bool

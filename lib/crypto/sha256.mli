@@ -9,7 +9,5 @@ type t = string
 
 val digest : string -> t
 
-val to_hex : t -> string
-
 val digest_hex : string -> string
-(** [digest_hex msg = to_hex (digest msg)]. *)
+(** The hex encoding of [digest msg]. *)

@@ -3,7 +3,7 @@
 
     Management requests (status/cancel/signal) are idempotent at the
     resource and may be retried under a deadline via
-    {!manage_with_retry}; submission is never retried automatically. *)
+    {!manage_with_retry_sync}; submission is never retried automatically. *)
 
 type t
 
@@ -16,7 +16,7 @@ val create :
   unit ->
   t
 (** [retry] (default {!Grid_util.Retry.default}) governs
-    {!manage_with_retry}; [attempt_timeout] (default 0.25s) bounds each
+    {!manage_with_retry_sync}; [attempt_timeout] (default 0.25s) bounds each
     individual attempt; [seed] feeds the backoff-jitter stream. *)
 
 val identity : t -> Grid_gsi.Identity.t
@@ -40,21 +40,6 @@ val manage :
   reply:((Protocol.management_reply, Protocol.management_error) result -> unit) ->
   unit
 
-val manage_with_retry :
-  ?policy:Grid_util.Retry.policy ->
-  ?deadline:float ->
-  t ->
-  contact:string ->
-  Protocol.management_action ->
-  reply:((Protocol.management_reply, Protocol.management_error) result -> unit) ->
-  unit
-(** Retry the (idempotent) management request on [Request_timed_out]
-    with exponential backoff, until a definite answer arrives, the
-    policy's attempts run out, or the [deadline] (seconds from now)
-    would be overshot. A deadline of 0 fails immediately without
-    sending anything. Retries and exhaustion are counted under
-    [client_retries_total]/[client_retry_exhausted_total]. *)
-
 val submit_sync :
   ?timeout:float -> t -> rsl:string -> (Protocol.submit_reply, Protocol.submit_error) result
 (** Drive the simulation until the reply arrives. *)
@@ -73,6 +58,13 @@ val manage_with_retry_sync :
   contact:string ->
   Protocol.management_action ->
   (Protocol.management_reply, Protocol.management_error) result
+(** Retry the (idempotent) management request on [Request_timed_out]
+    with exponential backoff, until a definite answer arrives, the
+    policy's attempts run out, or the [deadline] (seconds from now)
+    would be overshot, driving the simulation until then. A deadline of
+    0 fails immediately without sending anything. Retries and exhaustion
+    are counted under
+    [client_retries_total]/[client_retry_exhausted_total]. *)
 
 val watch :
   t ->

@@ -5,12 +5,6 @@
 
 type t
 
-val sim_duration_attribute : string
-(** Simulation-only RSL attribute ("simduration", seconds) giving the
-    job's compute need; defaults to 60 s when absent. *)
-
-val default_duration : float
-
 val create :
   ?allocation:Grid_accounts.Allocation.enforcement ->
   ?obs:Grid_obs.Obs.t ->

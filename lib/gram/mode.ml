@@ -30,8 +30,6 @@ type t =
 
 let is_extended = function Extended _ -> true | Gt2_baseline -> false
 
-let backend_label = function Gt2_baseline -> "gt2" | Extended { backend; _ } -> backend
-
 let to_string = function
   | Gt2_baseline -> "GT2 baseline"
   | Extended { backend; _ } -> Printf.sprintf "extended (%s authorization callout)" backend

@@ -35,10 +35,6 @@ val extended_batch :
 val is_extended : t -> bool
 val to_string : t -> string
 
-val backend_label : t -> string
-(** The metrics backend label: ["gt2"] for the baseline, else the
-    Extended backend name. *)
-
 val extended_from_config : Grid_callout.Config.t -> Grid_callout.Registry.t -> t
 (** Resolve the job-manager authorization callout from configuration; a
     misconfigured callout fails closed at invocation time. *)

@@ -7,8 +7,6 @@ type signal =
   | Resume
   | Set_priority of int
 
-val signal_to_string : signal -> string
-
 type management_action =
   | Cancel
   | Status
@@ -23,7 +21,6 @@ type authz_failure =
   | Authz_system_failure of string
   | Authz_misconfigured of string
 
-val authz_failure_to_string : authz_failure -> string
 val authz_failure_of_callout : Grid_callout.Callout.error -> authz_failure
 
 type submit_error =

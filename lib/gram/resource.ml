@@ -178,9 +178,6 @@ let register_callback t ~contact ~(on_state_change : Protocol.job_state -> unit)
       Ok ()
   end
 
-let jobs_with_tag t tag =
-  List.filter (fun jmi -> Job_manager.jobtag jmi = Some tag) (jobs t)
-
 (* --- Direct (in-resource) entry points -------------------------------- *)
 
 let new_challenge t = Gatekeeper.new_challenge t.gatekeeper

@@ -87,7 +87,6 @@ val recover : t -> recovery_summary
 
 val find_jmi : t -> string -> Job_manager.t option
 val jobs : t -> Job_manager.t list
-val jobs_with_tag : t -> string -> Job_manager.t list
 
 val register_callback :
   t ->

@@ -33,14 +33,6 @@ let issue ?lifetime ?(extensions = []) t ~now ~subject ~public_key =
     ~not_after:(Grid_sim.Clock.add now lifetime) ~extensions
     ~signing_key:(Grid_crypto.Keypair.secret t.keypair)
 
-(* Issue a certificate of arbitrary kind; CAS servers use this to mint
-   capability certificates carrying a policy extension. *)
-let issue_special ?lifetime ?(extensions = []) t ~now ~kind ~subject ~public_key =
-  let lifetime = Option.value lifetime ~default:t.default_lifetime in
-  Cert.make ~kind ~subject ~issuer:t.name ~public_key ~not_before:now
-    ~not_after:(Grid_sim.Clock.add now lifetime) ~extensions
-    ~signing_key:(Grid_crypto.Keypair.secret t.keypair)
-
 let signing_key t = Grid_crypto.Keypair.secret t.keypair
 
 module Trust_store = struct
@@ -60,8 +52,6 @@ module Trust_store = struct
       invalid_arg "Trust_store.add: only Authority certificates can be anchors";
     if not (List.exists (fun c -> Cert.fingerprint c = Cert.fingerprint cert) store.anchors)
     then store.anchors <- cert :: store.anchors
-
-  let anchors store = store.anchors
 
   let find store ~issuer =
     List.find_opt (fun c -> Dn.equal c.Cert.subject issuer) store.anchors

@@ -25,17 +25,6 @@ val issue :
   Cert.t
 (** Issue an end-entity certificate. *)
 
-val issue_special :
-  ?lifetime:Grid_sim.Clock.time ->
-  ?extensions:Cert.extension list ->
-  t ->
-  now:Grid_sim.Clock.time ->
-  kind:Cert.kind ->
-  subject:Dn.t ->
-  public_key:Grid_crypto.Keypair.public ->
-  Cert.t
-(** Issue a certificate of a chosen kind (CAS capability certificates). *)
-
 val signing_key : t -> Grid_crypto.Keypair.secret
 
 (** A verifier's set of trusted CA certificates. *)
@@ -48,7 +37,6 @@ module Trust_store : sig
   (** Raises [Invalid_argument] if the certificate is not an Authority
       certificate. Idempotent. *)
 
-  val anchors : store -> Cert.t list
   val find : store -> issuer:Dn.t -> Cert.t option
 
   val revoke : store -> Cert.t -> unit

@@ -44,11 +44,6 @@ let lookup t dn =
   | Some { accounts = a :: _; _ } -> Some a
   | Some { accounts = []; _ } | None -> None
 
-let lookup_all t dn =
-  match List.find_opt (fun e -> Dn.equal e.dn dn) t.entries with
-  | Some e -> e.accounts
-  | None -> []
-
 let mem t dn = lookup t dn <> None
 
 let entries t = t.entries

@@ -16,8 +16,6 @@ val add : t -> dn:Dn.t -> account:string -> t
 val lookup : t -> Dn.t -> string option
 (** Primary account for a DN (the first one listed). *)
 
-val lookup_all : t -> Dn.t -> string list
-
 val mem : t -> Dn.t -> bool
 (** The Gatekeeper's coarse-grain authorization check. *)
 

@@ -57,7 +57,6 @@ let deposit t ~(identity : Identity.t) ~authorized_renewers
   end
   else `Deposited
 
-let has_deposit t owner = Hashtbl.mem t.deposits (Dn.to_string owner)
 
 let renewals t = t.renewals
 let replacements t = t.replacements

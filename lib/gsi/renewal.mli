@@ -28,8 +28,6 @@ val deposit :
     (["renewal.redeposit"]) because a silent replacement is a renewal
     hijack primitive. *)
 
-val has_deposit : t -> Dn.t -> bool
-
 val renewals : t -> int
 
 val replacements : t -> int

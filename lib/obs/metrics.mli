@@ -26,10 +26,7 @@ val set : t -> ?labels:labels -> string -> float -> unit
 val observe : t -> ?buckets:float array -> ?labels:labels -> string -> float -> unit
 (** Record a histogram observation. [buckets] (strictly increasing upper
     bounds, inclusive) applies on first registration of the series;
-    defaults to {!default_buckets}. *)
-
-val default_buckets : float array
-(** Latency buckets in (simulated) seconds, 1 ms .. 10 min. *)
+    defaults to latency buckets in (simulated) seconds, 1 ms .. 10 min. *)
 
 (** {1 Reading} *)
 

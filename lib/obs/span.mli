@@ -93,6 +93,5 @@ val to_chrome_json : t -> string
     the parent span id under [args]. The output loads directly into
     chrome://tracing or Perfetto ([gridctl trace export]). *)
 
-val pp_span : span Fmt.t
 val pp : t Fmt.t
 (** Render the span forest, indented by depth, with durations. *)

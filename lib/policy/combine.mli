@@ -35,7 +35,6 @@ type compiled_source = {
   compiled : Compile.t;
 }
 
-val compile_source : source -> compiled_source
 val compile_sources : source list -> compiled_source list
 
 val epoch_of : compiled_source list -> int

@@ -43,11 +43,6 @@ val observed :
 (** {!eval} under the same span/counter instrumentation as
     {!Eval.observed}. *)
 
-val observed_many :
-  ?obs:Grid_obs.Obs.t -> ?source:string -> t -> Types.request array -> Eval.decision array
-(** {!eval_many} under the bulk instrumentation of
-    {!Eval.observed_many_with}. *)
-
 (** A mutable slot holding the current compilation of a reloadable
     policy; [reload] recompiles and therefore bumps the epoch. *)
 module Store : sig

@@ -52,9 +52,6 @@ type explanation = {
 
 val explain : Types.t -> Types.request -> explanation
 
-val decision_label : decision -> string
-(** ["permit"] / ["deny"]: the metric label vocabulary. *)
-
 val observed_with :
   ?obs:Grid_obs.Obs.t ->
   ?source:string ->

@@ -10,14 +10,10 @@ type finding = {
   message : string;
 }
 
-val severity_to_string : severity -> string
 val finding_to_string : finding -> string
 
 val clause_unsatisfiable : Types.clause -> string option
 (** Proof of unsatisfiability, if one is found (conservative). *)
-
-val clause_subsumes : Types.clause -> Types.clause -> bool
-(** [clause_subsumes a b]: every constraint of [a] appears in [b]. *)
 
 val lint : Types.t -> finding list
 

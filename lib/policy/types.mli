@@ -15,8 +15,6 @@ type cvalue =
   | Null  (** the paper's [NULL]: absence of a value *)
   | Self  (** the paper's [self]: the requesting identity *)
 
-val cvalue_to_string : cvalue -> string
-
 (** Without concrete-syntax quoting, for carriers with their own
     escaping (the XACML front end). *)
 val cvalue_to_plain : cvalue -> string
@@ -46,7 +44,6 @@ type statement = {
 
 type t = statement list
 
-val statement_to_string : statement -> string
 val to_string : t -> string
 val pp : t Fmt.t
 

@@ -11,10 +11,6 @@ val parse : string -> Types.t
 
 val parse_result : string -> (Types.t, string) result
 
-val of_xml : Xml_lite.t -> Types.t
-
-val to_xml : ?policy_id:string -> Types.t -> Xml_lite.t
-
 val to_string : ?policy_id:string -> Types.t -> string
 (** Round-trips: [parse (to_string p)] is decision-equivalent to [p]
     (verified by property test). *)

@@ -21,5 +21,3 @@ val to_string : t -> string
     through {!parse}. *)
 
 val element : ?attrs:(string * string) list -> ?text:string -> string -> t list -> t
-
-val encode_entities : string -> string

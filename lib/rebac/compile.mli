@@ -24,10 +24,6 @@ val install : t -> Store.t -> Zookie.t
 val load : ?epoch:int -> t -> Store.t
 (** A fresh store with the plan installed. *)
 
-val context_for : t -> Grid_gsi.Dn.t -> Tuple.t list
-(** The request-scoped contextual tuple grafting a requester into the
-    pattern trie (empty when the plan has no statements). *)
-
 val decide :
   ?obs:Grid_obs.Obs.t ->
   ?budget:int ->
@@ -45,12 +41,7 @@ val decide :
 (** Namespaces and relations of the encoding (exposed for tests and for
     hand-built tuples riding alongside compiled ones). *)
 
-val group_ns : string
-val stmt_ns : string
 val member_rel : string
-val child_rel : string
-val subject_rel : string
-val applicable_rel : string
 
 val group_obj : Grid_gsi.Dn.rdn list -> Tuple.obj
 (** The trie node for a pattern prefix ([[]] is the root). *)

@@ -107,8 +107,8 @@ let callout t = callout_with t
    requests are decided once (one graph expansion per distinct question,
    all within one snapshot) and the shared decision value scattered to
    every duplicate slot, in request order. *)
-let batch_with ?budget ?consistency t : Grid_callout.Callout.Batch.t =
-  let single = callout_with ?budget ?consistency t in
+let batch t : Grid_callout.Callout.Batch.t =
+  let single = callout t in
   let many qs =
     let n = Array.length qs in
     let results = Array.make n Grid_callout.Callout.permitted in
@@ -120,14 +120,12 @@ let batch_with ?budget ?consistency t : Grid_callout.Callout.Batch.t =
       match Hashtbl.find_opt seen request with
       | Some decision -> results.(i) <- decision
       | None ->
-        let decision = decide_request ?budget ?consistency t request in
+        let decision = decide_request t request in
         Hashtbl.add seen request decision;
         results.(i) <- decision
     done;
     results
   in
   Grid_callout.Callout.Batch.make ~single ~many
-
-let batch t = batch_with t
 
 let of_sources ?obs sources = callout (create ?obs sources)

@@ -42,9 +42,5 @@ val batch : t -> Grid_callout.Callout.Batch.t
     question), answers in request order — element-wise equal to mapping
     {!callout}. *)
 
-val batch_with :
-  ?budget:int -> ?consistency:Store.consistency -> t -> Grid_callout.Callout.Batch.t
-(** {!batch} under the same pinning knobs as {!callout_with}. *)
-
 val of_sources : ?obs:Grid_obs.Obs.t -> Grid_policy.Combine.source list -> Grid_callout.Callout.t
 (** [callout (create ?obs sources)]. *)

@@ -117,9 +117,6 @@ let of_string s =
     end
   end
 
-let of_string_exn s =
-  match of_string s with Ok t -> t | Error m -> invalid_arg m
-
 let equal a b =
   obj_equal a.obj b.obj && a.relation = b.relation && subject_equal a.subject b.subject
 

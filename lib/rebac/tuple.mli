@@ -28,15 +28,10 @@ val obj : namespace:string -> id:string -> obj
 (** Raises [Invalid_argument] on empty parts or separator characters
     ([':'] / ['#'] in the namespace, ['#'] / ['@'] in the id). *)
 
-val obj_to_string : obj -> string
 val obj_of_string : string -> obj option
 val obj_equal : obj -> obj -> bool
 
 val userset : obj -> string -> userset
-
-val subject_to_string : subject -> string
-val subject_of_string : string -> subject option
-val subject_equal : subject -> subject -> bool
 
 val make : obj -> relation:string -> subject -> t
 (** Raises [Invalid_argument] when [relation] is empty or contains
@@ -44,8 +39,6 @@ val make : obj -> relation:string -> subject -> t
 
 val to_string : t -> string
 val of_string : string -> (t, string) result
-val of_string_exn : string -> t
-(** Raises [Invalid_argument] where {!of_string} returns [Error]. *)
 
 val equal : t -> t -> bool
 val pp : t Fmt.t

@@ -41,15 +41,6 @@ let op_to_string = function
   | Le -> "<="
   | Ge -> ">="
 
-let op_of_string = function
-  | "=" -> Some Eq
-  | "!=" -> Some Neq
-  | "<" -> Some Lt
-  | ">" -> Some Gt
-  | "<=" -> Some Le
-  | ">=" -> Some Ge
-  | _ -> None
-
 let normalize_attribute a = String.lowercase_ascii a
 
 let relation ?(op = Eq) attribute values =
@@ -88,7 +79,6 @@ let to_string = function
     "+" ^ String.concat "" (List.map (fun c -> "(" ^ clause_to_string c ^ ")") cs)
 
 let pp ppf t = Fmt.string ppf (to_string t)
-let pp_clause ppf c = Fmt.string ppf (clause_to_string c)
 
 let value_equal a b =
   match (a, b) with

@@ -23,7 +23,6 @@ type t =
   | Multi of clause list  (** the ["+"] multirequest form *)
 
 val op_to_string : op -> string
-val op_of_string : string -> op option
 
 val normalize_attribute : string -> string
 
@@ -35,14 +34,9 @@ val literal_relation : ?op:op -> string -> string list -> relation
 val needs_quoting : string -> bool
 (** True when a literal must be double-quoted to survive re-parsing. *)
 
-val value_to_string : value -> string
-val relation_to_string : relation -> string
 val clause_to_string : clause -> string
 val to_string : t -> string
 val pp : t Fmt.t
-val pp_clause : clause Fmt.t
 
-val value_equal : value -> value -> bool
-val relation_equal : relation -> relation -> bool
 val clause_equal : clause -> clause -> bool
 val equal : t -> t -> bool

@@ -30,12 +30,6 @@ type error =
 val error_to_string : error -> string
 val pp_error : error Fmt.t
 
-val of_clause : ?environment:(string * string) list -> Ast.clause -> (t, error) result
-(** Parse a clause, substituting [$(VAR)] references from [environment]. *)
-
-val of_rsl : ?environment:(string * string) list -> Ast.t -> (t, error) result
-(** Rejects multirequests with {!Unsupported_multirequest}. *)
-
 val of_string : ?environment:(string * string) list -> string -> (t, error) result
 
 val clause : t -> Ast.clause

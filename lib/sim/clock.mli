@@ -8,8 +8,6 @@ val compare : time -> time -> int
 val ( <= ) : time -> time -> bool
 val pp : time Fmt.t
 
-val of_seconds : float -> time
-val to_seconds : time -> float
 val minutes : float -> time
 val hours : float -> time
 

@@ -41,10 +41,7 @@ type t = {
   fault_rng : Grid_util.Rng.t;
   mutable faults : Faults.profile;
   mutable listeners : (event -> unit) list;
-  mutable syncs : int;
-  mutable sync_seconds : Clock.time;
   mutable crashes : int;
-  mutable bytes_written : int;
 }
 
 let create ?(faults = Faults.none) ?(seed = 4242) () =
@@ -52,10 +49,7 @@ let create ?(faults = Faults.none) ?(seed = 4242) () =
     fault_rng = Grid_util.Rng.create ~seed;
     faults;
     listeners = [];
-    syncs = 0;
-    sync_seconds = 0.0;
-    crashes = 0;
-    bytes_written = 0 }
+    crashes = 0 }
 
 let set_faults t profile = t.faults <- profile
 let faults t = t.faults
@@ -75,8 +69,7 @@ let find_or_create t file =
 
 let append t ~file bytes =
   let f = find_or_create t file in
-  Buffer.add_string f.volatile bytes;
-  t.bytes_written <- t.bytes_written + String.length bytes
+  Buffer.add_string f.volatile bytes
 
 let sample_fsync_latency t =
   let p = t.faults in
@@ -89,8 +82,6 @@ let sync t ~file =
   | Some f ->
     let pending = Buffer.length f.volatile in
     let latency = sample_fsync_latency t in
-    t.syncs <- t.syncs + 1;
-    t.sync_seconds <- t.sync_seconds +. latency;
     if pending > 0 then begin
       Buffer.add_buffer f.durable f.volatile;
       Buffer.clear f.volatile
@@ -174,9 +165,6 @@ let crash t =
       end)
     names
 
-let syncs t = t.syncs
-let sync_seconds t = t.sync_seconds
 let crashes t = t.crashes
-let bytes_written t = t.bytes_written
 
 let files t = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.files [])

@@ -110,9 +110,4 @@ val crash : t -> unit
 
 (** {1 Counters} *)
 
-val syncs : t -> int
-val sync_seconds : t -> Clock.time
-(** Total sampled fsync latency since creation. *)
-
 val crashes : t -> int
-val bytes_written : t -> int

@@ -71,7 +71,6 @@ let create ?(base_latency = 0.005) ?(jitter = 0.002) ?(seed = 7) ?(faults = Faul
     faults; partitions = Hashtbl.create 4; listeners = [];
     messages_sent = 0; messages_dropped = 0; messages_duplicated = 0; messages_delayed = 0 }
 
-let zero_latency engine = create ~base_latency:0.0 ~jitter:0.0 ~seed:0 engine
 
 let latency t =
   if t.jitter = 0.0 then t.base_latency
@@ -82,7 +81,6 @@ let faults t = t.faults
 
 let partition t ~link = Hashtbl.replace t.partitions link ()
 let heal t ~link = Hashtbl.remove t.partitions link
-let heal_all t = Hashtbl.reset t.partitions
 let partitioned t ~link = Hashtbl.mem t.partitions link
 
 let on_fault t f = t.listeners <- f :: t.listeners

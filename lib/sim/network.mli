@@ -55,10 +55,6 @@ val create :
     [fault_seed] is omitted it is derived from [seed] such that the two
     streams stay decorrelated. *)
 
-val zero_latency : Engine.t -> t
-(** A network that delivers instantly (still via the event queue): used by
-    microbenchmarks isolating CPU cost. *)
-
 val send : ?link:string -> t -> (unit -> unit) -> unit
 (** Deliver a message: run the handler after a sampled latency — unless the
     fault layer drops it (silently, beyond counters/listeners). [link]
@@ -72,7 +68,6 @@ val partition : t -> link:string -> unit
 (** Partition a link: every message sent on it is dropped until [heal]. *)
 
 val heal : t -> link:string -> unit
-val heal_all : t -> unit
 val partitioned : t -> link:string -> bool
 
 val on_fault : t -> (fault_event -> unit) -> unit

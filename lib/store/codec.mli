@@ -9,9 +9,6 @@
 val escape : string -> string
 (** Percent-escape ['%'], ['\t'], ['\n'], ['\r'], ['='] and [',']. *)
 
-val unescape : string -> string
-(** Inverse of {!escape}; malformed escapes are kept literally. *)
-
 val encode : (string * string) list -> string
 val decode : string -> (string * string) list
 

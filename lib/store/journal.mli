@@ -24,16 +24,13 @@ val file : t -> string
 
 val append : t -> string -> unit
 (** Frame, checksum and write one payload, fsyncing per the policy.
-    Raises [Invalid_argument] on payloads over {!max_record_bytes}. *)
+    Raises [Invalid_argument] on payloads over 16 MiB; replay treats a
+    longer length field as corruption. *)
 
 val sync : t -> unit
 val appends : t -> int
 val bytes : t -> int
 (** Current journal size in bytes (durable + unsynced). *)
-
-val max_record_bytes : int
-(** Sanity bound (16 MiB) on a single payload; lengths beyond it are
-    treated as corruption during replay. *)
 
 (** {1 Replay} *)
 

@@ -6,7 +6,6 @@ module Obs = Grid_obs.Obs
 type exchange_error =
   | Claim_invalid of string
   | No_matching_relation of {
-      source : Trust.claim_source;
       issuer : string;
       subject : Dn.t;
     }
@@ -14,10 +13,9 @@ type exchange_error =
 
 let exchange_error_to_string = function
   | Claim_invalid reason -> Printf.sprintf "claim invalid: %s" reason
-  | No_matching_relation { source; issuer; subject } ->
-    Printf.sprintf "no trust relation matches %s claim from %s for %s"
-      (Trust.claim_source_to_string source)
-      issuer (Dn.to_string subject)
+  | No_matching_relation { issuer; subject } ->
+    Printf.sprintf "no trust relation matches claim from %s for %s" issuer
+      (Dn.to_string subject)
   | Subject_revoked dn ->
     Printf.sprintf "subject revoked: %s" (Dn.to_string dn)
 
@@ -47,16 +45,14 @@ type t = {
   disk : Grid_sim.Disk.t;
   push_window : Grid_sim.Clock.time;
   poll_interval : Grid_sim.Clock.time;
-  cas_key : Grid_crypto.Keypair.public option;
   key : Grid_crypto.Keypair.t;
   escrow : Grid_gsi.Renewal.t;
-  (* jti -> grant; the index revoke_jti and subject-wide revocation walk *)
+  (* jti -> grant, walked by subject-wide revocation and outstanding_not_after *)
   issued : (string, issued) Hashtbl.t;
   revoked_jti : (string, Grid_sim.Clock.time) Hashtbl.t;
   revoked_subjects : (string, Grid_sim.Clock.time) Hashtbl.t;
   mutable crl_entries : Validator.entry list;  (* newest first *)
   mutable attached : Validator.t list;
-  mutable issue_count : int;
   mutable revocation_count : int;
   mutable counter : int;
   crl_file : string;
@@ -64,7 +60,7 @@ type t = {
 
 let create ?(name = "sts") ?(default_ttl = 900.0) ?(mode = Validator.Short_ttl)
     ?relations ?network ?disk ?(push_window = 1.0) ?(poll_interval = 60.0)
-    ?cas_key ~engine ~trust ~obs () =
+    ~engine ~trust ~obs () =
   if default_ttl <= 0.0 then
     invalid_arg "Service.create: default_ttl must be positive";
   let relations =
@@ -96,7 +92,6 @@ let create ?(name = "sts") ?(default_ttl = 900.0) ?(mode = Validator.Short_ttl)
     disk;
     push_window;
     poll_interval;
-    cas_key;
     key;
     escrow = Grid_gsi.Renewal.create ~obs ();
     issued = Hashtbl.create 256;
@@ -104,7 +99,6 @@ let create ?(name = "sts") ?(default_ttl = 900.0) ?(mode = Validator.Short_ttl)
     revoked_subjects = Hashtbl.create 64;
     crl_entries = [];
     attached = [];
-    issue_count = 0;
     revocation_count = 0;
     counter = 0;
     crl_file = name ^ "-crl" }
@@ -142,12 +136,12 @@ let subject_revoked_at t subject =
 
 (* Mint a token once the claim is verified: relation lookup, TTL cap,
    grant bookkeeping, audit. *)
-let mint t ~now ~source ~issuer subject =
+let mint t ~now ~issuer subject =
   match subject_revoked_at t subject with
   | Some _ -> Error (Subject_revoked subject)
   | None -> begin
-    match Trust.first_match t.relations ~source ~issuer ~subject with
-    | None -> Error (No_matching_relation { source; issuer; subject })
+    match Trust.first_match t.relations ~issuer ~subject with
+    | None -> Error (No_matching_relation { issuer; subject })
     | Some rel ->
       let ttl = Float.min t.s_ttl rel.Trust.max_ttl in
       let jti = Printf.sprintf "%s-jti-%d" t.s_name (next_counter t) in
@@ -159,7 +153,6 @@ let mint t ~now ~source ~issuer subject =
       in
       Hashtbl.replace t.issued jti
         { i_subject = subject; i_not_after = token.Token.not_after };
-      t.issue_count <- t.issue_count + 1;
       Obs.incr t.obs
         ~labels:[ ("service", t.s_name); ("relation", rel.Trust.rel_name) ]
         "tokens_issued_total";
@@ -169,7 +162,6 @@ let mint t ~now ~source ~issuer subject =
           ("subject", Dn.to_string subject);
           ("audience", rel.Trust.audience);
           ("relation", rel.Trust.rel_name);
-          ("source", Trust.claim_source_to_string source);
           ("epoch", string_of_int t.s_epoch);
           ("not_after", Printf.sprintf "%.6f" token.Token.not_after) ];
       Ok token
@@ -196,20 +188,7 @@ let exchange t ~now credential =
       | Some i -> i
       | None -> ""
     in
-    mint t ~now ~source:Trust.Gsi_identity ~issuer subject
-
-let exchange_capability t ~now ~presenter capability =
-  match t.cas_key with
-  | None -> Error (Claim_invalid "service holds no CAS community key")
-  | Some cas_key -> begin
-    match Grid_cas.Capability.verify capability ~cas_key ~presenter ~now with
-    | Error e ->
-      Error (Claim_invalid (Grid_cas.Capability.verify_error_to_string e))
-    | Ok () ->
-      mint t ~now ~source:Trust.Cas_capability
-        ~issuer:capability.Grid_cas.Capability.vo
-        capability.Grid_cas.Capability.holder
-  end
+    mint t ~now ~issuer subject
 
 let proxy_with_token t ~now identity =
   let credential =
@@ -287,15 +266,6 @@ let record_revocation t ~now ~jti ~subject =
       ("revoked_at", Printf.sprintf "%.6f" now) ];
   entry
 
-let revoke_jti t ~now jti =
-  match Hashtbl.find_opt t.issued jti with
-  | None -> ()
-  | Some grant ->
-    if not (Hashtbl.mem t.revoked_jti jti) then begin
-      let entry = record_revocation t ~now ~jti ~subject:grant.i_subject in
-      distribute t [ entry ]
-    end
-
 let revoke_subject t ~now subject =
   let key = Dn.to_string subject in
   if not (Hashtbl.mem t.revoked_subjects key) then begin
@@ -361,6 +331,5 @@ let attach_validator t ?obs ~name () =
 let validators t = t.attached
 let quiesce t = List.iter Validator.stop t.attached
 
-let tokens_issued t = t.issue_count
 let revocations t = t.revocation_count
 let escrow_replacements t = Grid_gsi.Renewal.replacements t.escrow

@@ -19,10 +19,8 @@
 type t
 
 type exchange_error =
-  | Claim_invalid of string
-      (** the presented credential or capability failed verification *)
+  | Claim_invalid of string  (** the presented credential failed verification *)
   | No_matching_relation of {
-      source : Trust.claim_source;
       issuer : string;
       subject : Grid_gsi.Dn.t;
     }
@@ -45,7 +43,6 @@ val create :
   ?disk:Grid_sim.Disk.t ->
   ?push_window:Grid_sim.Clock.time ->
   ?poll_interval:Grid_sim.Clock.time ->
-  ?cas_key:Grid_crypto.Keypair.public ->
   engine:Grid_sim.Engine.t ->
   trust:Grid_gsi.Ca.Trust_store.store ->
   obs:Grid_obs.Obs.t ->
@@ -54,7 +51,7 @@ val create :
 (** Defaults: name ["sts"], 900 s token TTL, [Short_ttl] mode, one
     permissive relation accepting any GSI identity the trust store
     validates. [Push] mode creates its own network when none is given;
-    [Pull] mode its own disk. [cas_key] enables capability exchange. *)
+    [Pull] mode its own disk. *)
 
 val name : t -> string
 val mode : t -> Validator.mode
@@ -82,15 +79,6 @@ val exchange :
     against the service's trust store, the certifying CA is the claim
     issuer, and the first matching relation decides entitlements,
     audience and TTL cap. *)
-
-val exchange_capability :
-  t ->
-  now:Grid_sim.Clock.time ->
-  presenter:Grid_gsi.Dn.t ->
-  Grid_cas.Capability.t ->
-  (Token.t, exchange_error) result
-(** Exchange a verified CAS capability; the minting community is the
-    claim issuer. Requires [cas_key]. *)
 
 val proxy_with_token :
   t ->
@@ -129,15 +117,10 @@ val refresh :
 
 (** {1 Revocation} *)
 
-val revoke_jti : t -> now:Grid_sim.Clock.time -> string -> unit
-(** Revoke one grant by token id and distribute per the mode. Unknown
-    jtis are ignored. *)
-
 val revoke_subject : t -> now:Grid_sim.Clock.time -> Grid_gsi.Dn.t -> unit
 (** Revoke a subject: every outstanding token dies, future exchange and
     refresh refuse, and a subject-wide entry is distributed. *)
 
-val subject_revoked_at : t -> Grid_gsi.Dn.t -> Grid_sim.Clock.time option
 val crl : t -> Validator.entry list
 (** Every revocation so far, oldest first — the pull snapshot's content. *)
 
@@ -162,6 +145,5 @@ val quiesce : t -> unit
 
 (** {1 Introspection} *)
 
-val tokens_issued : t -> int
 val revocations : t -> int
 val escrow_replacements : t -> int

@@ -1,16 +1,7 @@
 (* Trust relations: issuer + claim conditions -> entitlements. *)
 
-type claim_source =
-  | Gsi_identity
-  | Cas_capability
-
-let claim_source_to_string = function
-  | Gsi_identity -> "gsi"
-  | Cas_capability -> "cas"
-
 type relation = {
   rel_name : string;
-  source : claim_source;
   issuer : string;
   subject_prefix : Grid_gsi.Dn.t;
   entitlements : string list;
@@ -18,16 +9,14 @@ type relation = {
   audience : string;
 }
 
-let relation ?(source = Gsi_identity) ?(issuer = "*") ?(subject_prefix = [])
-    ?(entitlements = [ "*" ]) ?(max_ttl = Grid_sim.Clock.hours 1.0)
-    ?(audience = "*") rel_name =
+let relation ?(issuer = "*") ?(subject_prefix = []) ?(entitlements = [ "*" ])
+    ?(max_ttl = Grid_sim.Clock.hours 1.0) ?(audience = "*") rel_name =
   if max_ttl <= 0.0 then invalid_arg "Trust.relation: max_ttl must be positive";
-  { rel_name; source; issuer; subject_prefix; entitlements; max_ttl; audience }
+  { rel_name; issuer; subject_prefix; entitlements; max_ttl; audience }
 
-let matches r ~source ~issuer ~subject =
-  r.source = source
-  && (r.issuer = "*" || String.equal r.issuer issuer)
+let matches r ~issuer ~subject =
+  (r.issuer = "*" || String.equal r.issuer issuer)
   && Grid_gsi.Dn.is_prefix r.subject_prefix subject
 
-let first_match relations ~source ~issuer ~subject =
-  List.find_opt (fun r -> matches r ~source ~issuer ~subject) relations
+let first_match relations ~issuer ~subject =
+  List.find_opt (fun r -> matches r ~issuer ~subject) relations

@@ -2,24 +2,15 @@
 
     A relation states that claims from a given issuer, under given
     claim conditions, exchange for given entitlements — the access-token
-    RFC shape (issuer + claim conditions -> entitlements). Two claim
-    sources exist: an authenticated GSI identity (the issuer is the CA
-    that certified it) and a verified CAS capability (the issuer is the
-    community that minted it). *)
-
-type claim_source =
-  | Gsi_identity
-  | Cas_capability
-
-val claim_source_to_string : claim_source -> string
+    RFC shape (issuer + claim conditions -> entitlements). The claim is
+    an authenticated GSI identity; its issuer is the CA that certified
+    it. *)
 
 type relation = {
   rel_name : string;
-  source : claim_source;
   issuer : string;
-      (** trusted issuer: the CA's DN string for GSI claims, the VO name
-          for CAS claims; ["*"] accepts any issuer the claim itself
-          verified against *)
+      (** trusted issuer: the CA's DN string; ["*"] accepts any issuer
+          the claim itself verified against *)
   subject_prefix : Grid_gsi.Dn.t;
       (** claim condition: the subject must extend this DN prefix ([[]]
           places no condition) *)
@@ -29,7 +20,6 @@ type relation = {
 }
 
 val relation :
-  ?source:claim_source ->
   ?issuer:string ->
   ?subject_prefix:Grid_gsi.Dn.t ->
   ?entitlements:string list ->
@@ -37,16 +27,11 @@ val relation :
   ?audience:string ->
   string ->
   relation
-(** [relation name] with permissive defaults: GSI claims from any
-    issuer, no subject condition, all entitlements, 1 h cap, audience
-    ["*"]. *)
-
-val matches :
-  relation -> source:claim_source -> issuer:string -> subject:Grid_gsi.Dn.t -> bool
+(** [relation name] with permissive defaults: claims from any issuer, no
+    subject condition, all entitlements, 1 h cap, audience ["*"]. *)
 
 val first_match :
   relation list ->
-  source:claim_source ->
   issuer:string ->
   subject:Grid_gsi.Dn.t ->
   relation option

@@ -59,7 +59,6 @@ type t = {
   mutable hooks : (jti:string -> subject:string -> unit) list;
   mutable latencies : Grid_sim.Clock.time list;
   mutable deliveries : int;
-  mutable fetches : int;
   mutable polling : bool;
 }
 
@@ -82,7 +81,6 @@ let create ~mode ~engine ?(obs = Grid_obs.Obs.noop) ?(token_ttl = 900.0)
     hooks = [];
     latencies = [];
     deliveries = 0;
-    fetches = 0;
     polling = false }
 
 let name t = t.name
@@ -91,7 +89,6 @@ let propagation_window t = t.window
 let on_revocation t f = t.hooks <- f :: t.hooks
 let entries t = Hashtbl.length t.revoked_jti + Hashtbl.length t.revoked_subjects
 let deliveries t = t.deliveries
-let fetches t = t.fetches
 let enforcement_latencies t = t.latencies
 
 (* Hashtbl entry overhead (bucket slot, boxed float) on top of the key
@@ -149,7 +146,6 @@ let fetch t =
   match t.disk with
   | None -> ()
   | Some disk ->
-    t.fetches <- t.fetches + 1;
     Grid_obs.Obs.incr t.obs "revocation_fetches_total";
     (match Grid_sim.Disk.read disk ~file:t.crl_file with
     | None -> ()

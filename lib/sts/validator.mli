@@ -40,8 +40,6 @@ type entry = {
 val encode_crl : entry list -> string
 (** Injective wire form of a CRL snapshot ({!Grid_util.Wire}). *)
 
-val decode_crl : string -> entry list option
-
 type t
 
 val create :
@@ -97,4 +95,3 @@ val enforcement_latencies : t -> Grid_sim.Clock.time list
     it, newest first. Empty in [Short_ttl] mode. *)
 
 val deliveries : t -> int
-val fetches : t -> int

@@ -63,7 +63,6 @@ let register_jobtag t tag =
   if not (List.mem tag t.jobtags) then t.jobtags <- t.jobtags @ [ tag ]
 
 let jobtags t = t.jobtags
-let jobtag_registered t tag = List.mem tag t.jobtags
 
 let require_jobtag t = t.require_jobtag_on_start <- true
 
@@ -107,14 +106,3 @@ let compile_policy t : Grid_policy.Types.t =
 
 let policy_source t =
   Grid_policy.Combine.source ~name:t.name (compile_policy t)
-
-(* VO-issued credential extension: the VO attests membership and groups by
-   adding an extension a CAS-style service can sign into a credential. *)
-let membership_extension t dn =
-  match List.find_opt (fun m -> Grid_gsi.Dn.equal m.dn dn) t.members with
-  | None -> None
-  | Some m ->
-    Some
-      { Grid_gsi.Cert.oid = "vo-membership";
-        critical = false;
-        payload = Printf.sprintf "%s|%s" t.name (String.concat "," m.groups) }

@@ -32,7 +32,6 @@ val register_jobtag : t -> string -> unit
 (** Statically register a jobtag (idempotent). *)
 
 val jobtags : t -> string list
-val jobtag_registered : t -> string -> bool
 
 val require_jobtag : t -> unit
 (** Require every member start request to carry a jobtag (compiles to the
@@ -43,5 +42,3 @@ val compile_policy : t -> Grid_policy.Types.t
 
 val policy_source : t -> Grid_policy.Combine.source
 
-val membership_extension : t -> Grid_gsi.Dn.t -> Grid_gsi.Cert.extension option
-(** Certificate extension attesting VO membership and groups. *)

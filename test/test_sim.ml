@@ -112,7 +112,7 @@ let test_network_jitter_bounded () =
 
 let test_network_zero_latency () =
   let e = Engine.create () in
-  let net = Network.zero_latency e in
+  let net = Network.create ~base_latency:0.0 ~jitter:0.0 e in
   let at = ref nan in
   Network.send net (fun () -> at := Engine.now e);
   Engine.run e;

@@ -48,9 +48,7 @@ let test_jobtags () =
   Vo.register_jobtag vo "DEV";
   Vo.register_jobtag vo "DEV";
   Vo.register_jobtag vo "PROD";
-  Alcotest.(check (list string)) "idempotent registration" [ "DEV"; "PROD" ] (Vo.jobtags vo);
-  Alcotest.(check bool) "registered" true (Vo.jobtag_registered vo "DEV");
-  Alcotest.(check bool) "not registered" false (Vo.jobtag_registered vo "X")
+  Alcotest.(check (list string)) "idempotent registration" [ "DEV"; "PROD" ] (Vo.jobtags vo)
 
 let eval policy request = Grid_policy.Eval.is_permit (Grid_policy.Eval.evaluate policy request)
 
@@ -125,16 +123,6 @@ let test_compiled_policy_parses_back () =
       (List.length policy')
   | Error m -> Alcotest.failf "compiled policy unparseable: %s" m
 
-let test_membership_extension () =
-  let vo = make_vo () in
-  (match Vo.membership_extension vo (dn bob) with
-  | Some ext ->
-    Alcotest.(check string) "oid" "vo-membership" ext.Grid_gsi.Cert.oid;
-    Alcotest.(check string) "payload" "fusion|developers,admins" ext.Grid_gsi.Cert.payload
-  | None -> Alcotest.fail "member extension missing");
-  Alcotest.(check bool) "no extension for stranger" true
-    (Vo.membership_extension vo (dn "/O=Grid/CN=X") = None)
-
 let test_unknown_group_profile_ignored () =
   let vo = Vo.create "v" in
   Vo.add_member vo ~dn:alice ~groups:[ "ghost-group" ];
@@ -147,8 +135,7 @@ let () =
         [ Alcotest.test_case "membership" `Quick test_membership;
           Alcotest.test_case "duplicates rejected" `Quick test_duplicate_member_rejected;
           Alcotest.test_case "remove" `Quick test_remove_member;
-          Alcotest.test_case "jobtags" `Quick test_jobtags;
-          Alcotest.test_case "extension" `Quick test_membership_extension ] );
+          Alcotest.test_case "jobtags" `Quick test_jobtags ] );
       ( "policy-compilation",
         [ Alcotest.test_case "grants" `Quick test_compiled_policy_grants;
           Alcotest.test_case "management" `Quick test_compiled_policy_management;

@@ -108,6 +108,4 @@ type enforcement = {
   party_of : Grid_gsi.Dn.t -> string option;
 }
 
-let enforcement ?party_of bank =
-  { bank;
-    party_of = (match party_of with Some f -> f | None -> prefix_party_of bank) }
+let enforcement bank = { bank; party_of = prefix_party_of bank }

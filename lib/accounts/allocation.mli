@@ -43,5 +43,5 @@ type enforcement = {
   party_of : Grid_gsi.Dn.t -> string option;
 }
 
-val enforcement : ?party_of:(Grid_gsi.Dn.t -> string option) -> t -> enforcement
-(** Defaults to {!prefix_party_of}. *)
+val enforcement : t -> enforcement
+(** Maps identities to parties by {!prefix_party_of}. *)

@@ -49,8 +49,6 @@ val expire : t -> now:Grid_sim.Clock.time -> int
 val holder_of : t -> account:string -> now:Grid_sim.Clock.time -> Grid_gsi.Dn.t option
 (** The holder of [account]'s live lease. O(length of [account]). *)
 
-val size : t -> int
-
 val in_use : t -> now:Grid_sim.Clock.time -> int
 (** Live leases at [now]. O(1 + k); collects nothing. *)
 

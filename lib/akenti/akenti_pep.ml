@@ -1,31 +1,13 @@
 (* Akenti as a GRAM authorization callout.
 
    The adapter the paper demonstrated at SC02: GRAM's callout API on one
-   side, the Akenti engine on the other. When an observer is supplied,
-   each engine decision is spanned and counted under source "akenti",
-   mirroring the flat-file PEP's instrumentation. *)
+   side, the Akenti engine on the other. *)
 
 type clock = unit -> Grid_sim.Clock.time
 
-let callout ?(obs = Grid_obs.Obs.noop) ~(engine : Engine.t) ~(now : clock) :
-    Grid_callout.Callout.t =
+let callout ~(engine : Engine.t) ~(now : clock) : Grid_callout.Callout.t =
  fun query ->
   let request = Grid_callout.Callout.to_policy_request query in
-  let decide () = Engine.decide engine ~now:(now ()) request in
-  let decision =
-    if not (Grid_obs.Obs.enabled obs) then decide ()
-    else
-      Grid_obs.Obs.with_span obs ~attrs:[ ("source", "akenti") ] "policy.eval" (fun _ ->
-          let decision = decide () in
-          Grid_obs.Obs.incr obs
-            ~labels:
-              [ ("source", "akenti");
-                ("decision",
-                 match decision with Engine.Granted -> "permit" | Engine.Refused _ -> "deny")
-              ]
-            "policy_eval_total";
-          decision)
-  in
-  match decision with
+  match Engine.decide engine ~now:(now ()) request with
   | Engine.Granted -> Ok ()
   | Engine.Refused reason -> Error (Grid_callout.Callout.Denied ("Akenti: " ^ reason))

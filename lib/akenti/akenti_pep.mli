@@ -2,6 +2,4 @@
 
 type clock = unit -> Grid_sim.Clock.time
 
-val callout : ?obs:Grid_obs.Obs.t -> engine:Engine.t -> now:clock -> Grid_callout.Callout.t
-(** [obs] spans each engine decision as ["policy.eval"] (source
-    ["akenti"]) and counts it in [policy_eval_total]. *)
+val callout : engine:Engine.t -> now:clock -> Grid_callout.Callout.t

@@ -33,7 +33,3 @@ let verify t ~issuer_key ~now =
   && Grid_crypto.Keypair.verify issuer_key ~signature:t.signature
        (signing_bytes ~subject:t.subject ~attribute:t.attribute ~value:t.value
           ~issuer:t.issuer ~not_before:t.not_before ~not_after:t.not_after)
-
-let pp ppf t =
-  Fmt.pf ppf "attr-cert(%a: %s=%s by %a)" Grid_gsi.Dn.pp t.subject t.attribute t.value
-    Grid_gsi.Dn.pp t.issuer

@@ -22,5 +22,3 @@ val make :
   t
 
 val verify : t -> issuer_key:Grid_crypto.Keypair.public -> now:Grid_sim.Clock.time -> bool
-
-val pp : t Fmt.t

@@ -80,7 +80,6 @@ let create ?(capacity = 1024) ?(ttl = 300.0) ?(obs = Grid_obs.Obs.noop) ?epoch ?
     invalidations = 0;
     bypasses = 0 }
 
-let capacity t = t.capacity
 let size t = Hashtbl.length t.table
 let hits t = t.hits
 let misses t = t.misses

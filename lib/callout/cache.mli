@@ -63,10 +63,6 @@ val with_cache_many : t -> ?scope:string -> Callout.Batch.t -> Callout.Batch.t
 val invalidate : t -> unit
 (** Drop every entry, counting them as invalidations. *)
 
-val rsl_fingerprint : Grid_rsl.Ast.clause option -> string
-(** The stable clause rendering used in keys ([""] for [None]); its
-    stability is pinned by the RSL round-trip property in [test_rsl]. *)
-
 val query_key : scope:string -> epoch:int -> ?revision:int -> Callout.query -> string
 (** The cache key itself: length-prefixed over every component the
     answer can depend on, so distinct queries cannot collide even when
@@ -75,7 +71,6 @@ val query_key : scope:string -> epoch:int -> ?revision:int -> Callout.query -> s
 
 (** {1 Introspection} *)
 
-val capacity : t -> int
 val size : t -> int
 val hits : t -> int
 val misses : t -> int

@@ -57,8 +57,6 @@ let error_to_string e =
     error_to_string_memo := Some (e, s);
     s
 
-let pp_error ppf e = Fmt.string ppf (error_to_string e)
-
 (* --- Query construction ----------------------------------------------- *)
 
 (* The one smart constructor behind every query: callers state their
@@ -184,16 +182,14 @@ let outcome_label (d : decision) : string = outcome_labels.(outcome_index d)
    "timeout" is modelled by sampling the backend's would-be latency and
    comparing it against the budget: a slow backend yields System_error
    without the caller ever blocking. *)
-let with_timeout ?(obs = Grid_obs.Obs.noop) ~budget ~latency (c : t) : t =
+let with_timeout ~budget ~latency (c : t) : t =
  fun q ->
   let sampled = latency () in
-  if sampled > budget then begin
-    Grid_obs.Obs.incr obs "authz_timeouts_total";
+  if sampled > budget then
     Error
       (System_error
          (Printf.sprintf "authorization callout timed out (%.3fs > %.3fs budget)" sampled
             budget))
-  end
   else c q
 
 (* Retry transient backend failures. Only [System_error] is retried:
@@ -201,12 +197,11 @@ let with_timeout ?(obs = Grid_obs.Obs.noop) ~budget ~latency (c : t) : t =
    itself. Retries happen within the same simulation instant (the JMI
    blocks on the callout), so only the attempt count of [policy] matters
    here — backoff pacing applies to the networked client path. *)
-let with_retry ?(obs = Grid_obs.Obs.noop) ?(policy = Grid_util.Retry.default) (c : t) : t =
+let with_retry ?(policy = Grid_util.Retry.default) (c : t) : t =
  fun q ->
   let rec go attempt =
     match c q with
     | Error (System_error _) when attempt < policy.Grid_util.Retry.max_attempts ->
-      Grid_obs.Obs.incr obs "authz_retries_total";
       go (attempt + 1)
     | decision -> decision
   in
@@ -229,21 +224,9 @@ let with_breaker ~breaker ~now (c : t) : t =
     decision
   end
 
-let breaker ?failure_threshold ?cooldown ?(obs = Grid_obs.Obs.noop) () =
-  Grid_util.Retry.Breaker.create ?failure_threshold ?cooldown
-    ~on_transition:(fun ~now:_ from into ->
-      Grid_obs.Obs.incr obs
-        ~labels:
-          [ ("from", Grid_util.Retry.Breaker.state_to_string from);
-            ("to", Grid_util.Retry.Breaker.state_to_string into) ]
-        "authz_breaker_transitions_total")
-    ()
-
 type degradation =
   | Fail_open
   | Fail_closed
-
-let degradation_label = function Fail_open -> "fail_open" | Fail_closed -> "fail_closed"
 
 (* Explicit degradation policy for backend outages. Only infrastructure
    failures (System_error / Bad_configuration) are degradable — a Denied
@@ -251,27 +234,14 @@ let degradation_label = function Fail_open -> "fail_open" | Fail_closed -> "fail
    Fail_closed, preserving the paper's default-deny stance: an
    unreachable authorization service must not grant access. Fail_open is
    for callers who decide availability beats enforcement on some
-   non-critical decision point, and every such conversion is counted. *)
-let degrade ?(obs = Grid_obs.Obs.noop) mode (c : t) : t =
+   non-critical decision point. *)
+let degrade mode (c : t) : t =
  fun q ->
   match c q with
   | Ok () -> Ok ()
   | Error (Denied _) as denial -> denial
-  | Error (System_error _ | Bad_configuration _) as outage -> begin
-    Grid_obs.Obs.incr obs
-      ~labels:[ ("mode", degradation_label mode) ]
-      "authz_degraded_total";
-    let final = match mode with Fail_open -> Ok () | Fail_closed -> outage in
-    (* The safety monitor watches this event: a fail_closed degradation
-       whose [final] is "permitted" is an invariant violation by
-       construction — emitting both sides makes the upgrade detectable
-       instead of trusting this combinator. *)
-    Grid_obs.Obs.emit obs ~layer:"callout" "authz.degraded"
-      [ ("mode", degradation_label mode);
-        ("original", outcome_label outage);
-        ("final", outcome_label final) ];
-    final
-  end
+  | Error (System_error _ | Bad_configuration _) as outage -> (
+    match mode with Fail_open -> Ok () | Fail_closed -> outage)
 
 (* Deterministic fault injector for chaos tests: fail with System_error at
    the given probability, sampling from the caller's seeded stream. *)

@@ -32,7 +32,6 @@ val permitted : decision
     physical identity, only on structural equality. *)
 
 val error_to_string : error -> string
-val pp_error : error Fmt.t
 
 (** Smart constructor for queries — the single supported way to build a
     {!query}.
@@ -111,17 +110,15 @@ val outcome_label : decision -> string
 (** ["permitted"] / ["denied"] / ["system_error"] / ["bad_configuration"]:
     the metric label vocabulary for decisions. *)
 
-val with_timeout :
-  ?obs:Grid_obs.Obs.t -> budget:float -> latency:(unit -> float) -> t -> t
+val with_timeout : budget:float -> latency:(unit -> float) -> t -> t
 (** Bound the backend's (simulated) latency: when [latency ()] samples
-    above [budget], answer [System_error] immediately and count it under
-    [authz_timeouts_total] instead of blocking the JMI. *)
+    above [budget], answer [System_error] immediately instead of
+    blocking the JMI. *)
 
-val with_retry : ?obs:Grid_obs.Obs.t -> ?policy:Grid_util.Retry.policy -> t -> t
+val with_retry : ?policy:Grid_util.Retry.policy -> t -> t
 (** Retry [System_error] answers up to [policy.max_attempts] times
     (within the same simulation instant — the JMI blocks on the callout);
-    [Denied] and [Bad_configuration] are returned as-is. Each retry is
-    counted under [authz_retries_total]. *)
+    [Denied] and [Bad_configuration] are returned as-is. *)
 
 val with_breaker : breaker:Grid_util.Retry.Breaker.t -> now:(unit -> float) -> t -> t
 (** Circuit-break a callout: while the breaker is open, answer
@@ -129,23 +126,15 @@ val with_breaker : breaker:Grid_util.Retry.Breaker.t -> now:(unit -> float) -> t
     the backend. [Ok] and [Denied] count as successes (the policy engine
     answered); [System_error]/[Bad_configuration] count as failures. *)
 
-val breaker :
-  ?failure_threshold:int -> ?cooldown:float -> ?obs:Grid_obs.Obs.t -> unit ->
-  Grid_util.Retry.Breaker.t
-(** A breaker whose state transitions are counted under
-    [authz_breaker_transitions_total{from,to}]. *)
-
 type degradation =
   | Fail_open  (** availability over enforcement: outage => permit *)
   | Fail_closed  (** the paper's default-deny stance: outage => refuse *)
 
-val degrade : ?obs:Grid_obs.Obs.t -> degradation -> t -> t
+val degrade : degradation -> t -> t
 (** Explicit degradation policy for backend outages. Converts only
     [System_error]/[Bad_configuration] — a [Denied] policy answer is
     never overridden, so [Fail_open] cannot turn a denial into a permit.
-    Every degraded decision is counted under
-    [authz_degraded_total{mode}]. Default configuration across the
-    system is [Fail_closed]. *)
+    Default configuration across the system is [Fail_closed]. *)
 
 val flaky : rng:Grid_util.Rng.t -> failure_probability:float -> t -> t
 (** Deterministic fault injector: fail with [System_error] at the given

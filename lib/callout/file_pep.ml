@@ -74,8 +74,6 @@ module Compiled = struct
 
   let epoch t = t.epoch
 
-  let sources t = List.map (fun c -> c.Grid_policy.Combine.origin) t.sources
-
   let reload t sources =
     let sources = Grid_policy.Combine.compile_sources sources in
     t.sources <- sources;
@@ -134,12 +132,12 @@ let of_sources ?obs (sources : Grid_policy.Combine.source list) : Callout.t =
 (* The pre-compilation evaluation path: scans every statement per query.
    The differential suite holds [of_sources] to this behaviour; bench T16
    measures the gap. *)
-let reference ?obs (sources : Grid_policy.Combine.source list) : Callout.t =
+let reference (sources : Grid_policy.Combine.source list) : Callout.t =
  fun query ->
   decision_to_callout
-    (Grid_policy.Combine.evaluate ?obs sources (Callout.to_policy_request query))
+    (Grid_policy.Combine.evaluate sources (Callout.to_policy_request query))
 
-let of_policy ?obs ~name policy = of_sources ?obs [ Grid_policy.Combine.source ~name policy ]
+let of_policy ~name policy = of_sources [ Grid_policy.Combine.source ~name policy ]
 
 (* Advice for policy-derived enforcement: the conjunction of the clauses
    that matched in each source. A permitted request has a matched clause
@@ -165,7 +163,7 @@ let advice (sources : Grid_policy.Combine.source list) : Callout.query -> Grid_p
    failure is an authorization *system* error at evaluation time: the PEP
    exists but cannot interpret its policy — it must fail closed without
    masquerading as a mere denial. *)
-let of_texts ?obs (named_texts : (string * string) list) : Callout.t =
+let of_texts (named_texts : (string * string) list) : Callout.t =
   let parsed =
     List.map
       (fun (name, text) ->
@@ -183,4 +181,4 @@ let of_texts ?obs (named_texts : (string * string) list) : Callout.t =
   with
   | Some message -> fun _ -> Error (Callout.System_error message)
   | None ->
-    of_sources ?obs (List.filter_map (function Ok s -> Some s | Error _ -> None) parsed)
+    of_sources (List.filter_map (function Ok s -> Some s | Error _ -> None) parsed)

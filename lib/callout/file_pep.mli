@@ -23,9 +23,6 @@ module Compiled : sig
 
   val epoch : t -> int
 
-  val sources : t -> Grid_policy.Combine.source list
-  (** The current (uncompiled) sources, e.g. for {!advice}. *)
-
   val reload : t -> Grid_policy.Combine.source list -> unit
   (** Swap in new policy text: recompiles every source and bumps the
       epoch, so cached decisions against the old policy die. *)
@@ -36,11 +33,11 @@ val of_sources : ?obs:Grid_obs.Obs.t -> Grid_policy.Combine.source list -> Callo
     construction); denial messages name the denying source. [obs] spans
     and counts each per-source policy evaluation. *)
 
-val reference : ?obs:Grid_obs.Obs.t -> Grid_policy.Combine.source list -> Callout.t
+val reference : Grid_policy.Combine.source list -> Callout.t
 (** The uncompiled evaluation path ([Combine.evaluate] per query):
     answers exactly what {!of_sources} answers, at pre-index cost. *)
 
-val of_policy : ?obs:Grid_obs.Obs.t -> name:string -> Grid_policy.Types.t -> Callout.t
+val of_policy : name:string -> Grid_policy.Types.t -> Callout.t
 
 val advice :
   Grid_policy.Combine.source list ->
@@ -51,7 +48,7 @@ val advice :
     [Grid_accounts.Sandbox.of_policy_clause] for policy-derived
     enforcement. *)
 
-val of_texts : ?obs:Grid_obs.Obs.t -> (string * string) list -> Callout.t
+val of_texts : (string * string) list -> Callout.t
 (** Build a PEP from (source name, policy text) pairs. Unparseable or
     invalid policy text yields a PEP that fails closed with
     [System_error] on every query. *)

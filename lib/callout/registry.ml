@@ -36,5 +36,3 @@ let lookup t ~library ~symbol =
            (Printf.sprintf "library %S defines no symbol %S" library symbol))
     | Some callout -> Ok callout
   end
-
-let libraries t = Hashtbl.fold (fun name _ acc -> name :: acc) t.libraries []

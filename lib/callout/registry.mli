@@ -10,5 +10,3 @@ val register : t -> library:string -> symbol:string -> Callout.t -> unit
 
 val lookup : t -> library:string -> symbol:string -> (Callout.t, Callout.error) result
 (** Fails with [Bad_configuration] on unknown library or symbol. *)
-
-val libraries : t -> string list

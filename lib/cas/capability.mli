@@ -34,8 +34,6 @@ val verify :
   (unit, verify_error) result
 (** Signature, lifetime, and holder-binding checks. *)
 
-val extension_oid : string
-
 val encode : t -> string
 val decode : string -> (t, string) result
 

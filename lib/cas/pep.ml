@@ -4,13 +4,7 @@
    a credential whose chain carries a capability, verifies the capability
    (signature, lifetime, holder binding), then evaluates the carried
    policy against the request. Missing or invalid capabilities deny;
-   undecodable ones are authorization-system failures.
-
-   Observability splits the work into its two distinct costs: capability
-   verification (crypto + lifetime checks, span "cas.verify", counted in
-   capability_checks_total) and policy evaluation of the carried policy
-   (via Eval.observed under source "cas-capability", so it lands in the
-   same policy_eval_total series as the other backends). *)
+   undecodable ones are authorization-system failures. *)
 
 type clock = unit -> Grid_sim.Clock.time
 
@@ -41,30 +35,9 @@ let check_capability ~cas_key ~now (query : Grid_callout.Callout.query) : verifi
     end
   end
 
-let check_outcome = function
-  | Verified _ -> "verified"
-  | Not_verified (Grid_callout.Callout.Denied _) -> "rejected"
-  | Not_verified _ -> "undecodable"
-
-let callout ?(obs = Grid_obs.Obs.noop) ~(cas_key : Grid_crypto.Keypair.public)
-    ~(now : clock) : Grid_callout.Callout.t =
+let callout ~(cas_key : Grid_crypto.Keypair.public) ~(now : clock) : Grid_callout.Callout.t =
  fun query ->
-  let verified =
-    if not (Grid_obs.Obs.enabled obs) then check_capability ~cas_key ~now query
-    else begin
-      let verified =
-        Grid_obs.Obs.with_span obs "cas.verify" (fun span ->
-            let verified = check_capability ~cas_key ~now query in
-            Grid_obs.Span.set_attr span "outcome" (check_outcome verified);
-            verified)
-      in
-      Grid_obs.Obs.incr obs
-        ~labels:[ ("outcome", check_outcome verified) ]
-        "capability_checks_total";
-      verified
-    end
-  in
-  match verified with
+  match check_capability ~cas_key ~now query with
   | Not_verified error -> Error error
   | Verified capability -> begin
     match Grid_policy.Parse.parse_result capability.Capability.policy_text with
@@ -73,7 +46,7 @@ let callout ?(obs = Grid_obs.Obs.noop) ~(cas_key : Grid_crypto.Keypair.public)
         (Grid_callout.Callout.System_error ("capability carries unparseable policy: " ^ m))
     | Ok policy -> begin
       let request = Grid_callout.Callout.to_policy_request query in
-      match Grid_policy.Eval.observed ~obs ~source:"cas-capability" policy request with
+      match Grid_policy.Eval.evaluate policy request with
       | Grid_policy.Eval.Permit -> Ok ()
       | Grid_policy.Eval.Deny reason ->
         Error

@@ -2,14 +2,7 @@
 
 type clock = unit -> Grid_sim.Clock.time
 
-val callout :
-  ?obs:Grid_obs.Obs.t ->
-  cas_key:Grid_crypto.Keypair.public ->
-  now:clock ->
-  Grid_callout.Callout.t
+val callout : cas_key:Grid_crypto.Keypair.public -> now:clock -> Grid_callout.Callout.t
 (** Verify the capability carried in the requester's credential against
     the trusted CAS key, then evaluate its embedded policy. Fails closed
-    without a credential or capability. [obs] spans capability
-    verification (["cas.verify"], counted in
-    [capability_checks_total{outcome}]) and policy evaluation
-    (["policy.eval"], source ["cas-capability"]). *)
+    without a credential or capability. *)

@@ -8,14 +8,15 @@ type t = {
   name : string;
   vo : Grid_vo.Vo.t;
   keypair : Grid_crypto.Keypair.t;
-  capability_lifetime : Grid_sim.Clock.time;
   mutable capabilities_issued : int;
 }
 
-let create ?(capability_lifetime = Grid_sim.Clock.hours 8.0) ~vo name =
+let capability_lifetime = Grid_sim.Clock.hours 8.0
+
+let create ~vo name =
   let keypair = Grid_crypto.Keypair.generate ~seed_material:("cas:" ^ name) in
   Grid_crypto.Keypair.register keypair;
-  { name; vo; keypair; capability_lifetime; capabilities_issued = 0 }
+  { name; vo; keypair; capabilities_issued = 0 }
 
 let public_key t = Grid_crypto.Keypair.public t.keypair
 let capabilities_issued t = t.capabilities_issued
@@ -45,7 +46,7 @@ let grant t ~trust ~now (credential : Grid_gsi.Credential.t) =
       t.capabilities_issued <- t.capabilities_issued + 1;
       Ok
         (Capability.make ~holder:user ~vo:(Grid_vo.Vo.name t.vo) ~policy_text ~issued_at:now
-           ~not_after:(Grid_sim.Clock.add now t.capability_lifetime)
+           ~not_after:(Grid_sim.Clock.add now capability_lifetime)
            ~signing_key:(Grid_crypto.Keypair.secret t.keypair))
     end
 

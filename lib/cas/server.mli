@@ -3,7 +3,7 @@
 
 type t
 
-val create : ?capability_lifetime:Grid_sim.Clock.time -> vo:Grid_vo.Vo.t -> string -> t
+val create : vo:Grid_vo.Vo.t -> string -> t
 (** Default capability lifetime: 8 simulated hours. *)
 
 val public_key : t -> Grid_crypto.Keypair.public

@@ -34,13 +34,11 @@ type member = {
 type t = {
   engine : Grid_sim.Engine.t;
   obs : Grid_obs.Obs.t;
-  directory : Grid_mds.Directory.t;
   broker : Grid_mds.Broker.t;
   members : member array;
   (* contact -> member name; the authoritative owner of a live job *)
   routes : (string, string) Hashtbl.t;
   sources : unit -> Grid_policy.Combine.source list;
-  seed : int;
 }
 
 type submit_error =
@@ -51,25 +49,12 @@ type submit_error =
   | Unreachable of (string * Grid_gram.Protocol.submit_error) list
       (** every ranked candidate timed out *)
 
-let submit_error_to_string = function
-  | Unplaceable -> "no resource matches the request"
-  | Rejected e -> "RSL rejected: " ^ e
-  | Site_error (site, e) ->
-    Printf.sprintf "%s: %s" site (Grid_gram.Protocol.submit_error_to_string e)
-  | Unreachable timeouts ->
-    "no candidate reachable:\n"
-    ^ Grid_util.Strings.concat_map "\n"
-        (fun (site, e) ->
-          Printf.sprintf "  %s: %s" site (Grid_gram.Protocol.submit_error_to_string e))
-        timeouts
-
 let create ?(resources = 4) ?(name_prefix = "site") ?(nodes = 4) ?(cpus_per_node = 8)
     ?queues ?(gridmap = Grid_gsi.Gridmap.empty) ?dynamic_accounts ?(rebac = false)
     ?authz_cache ?(store = false) ?faults ?(fault_seed = 1299709) ?request_timeout
-    ?precheck ?(seed = 0) ?breaker_threshold ?breaker_cooldown ?directory_ttl
-    ?(provider_period = 30.0) ?sts ~sources ~engine ~trust ~obs () =
+    ?(seed = 0) ?sts ~sources ~engine ~trust ~obs () =
   if resources < 1 then invalid_arg "Fleet.create: resources must be >= 1";
-  let directory = Grid_mds.Directory.create ?ttl:directory_ttl engine in
+  let directory = Grid_mds.Directory.create engine in
   let member i =
     let name = Printf.sprintf "%s-%d" name_prefix i in
     (* The member's whole stack records through a resource-scoped handle:
@@ -104,27 +89,23 @@ let create ?(resources = 4) ?(name_prefix = "site") ?(nodes = 4) ?(cpus_per_node
         ?request_timeout ?authz_cache ?store ?sts ~pep ~name ~engine ~trust ~obs ()
     in
     let provider =
-      Grid_mds.Provider.attach ~period:provider_period ~site:name ~directory site.resource
+      Grid_mds.Provider.attach ~site:name ~directory site.resource
     in
     { name; site; pep; provider }
   in
   let members = Array.init resources member in
   let broker =
-    Grid_mds.Broker.create ?precheck ~seed ?breaker_threshold ?breaker_cooldown ~obs
+    Grid_mds.Broker.create ~seed ~obs
       ~directory
       (Array.to_list (Array.map (fun m -> m.site.resource) members))
   in
   let routes = Hashtbl.create 256 in
-  { engine; obs; directory; broker; members; routes; sources; seed }
+  { engine; obs; broker; members; routes; sources }
 
 let size t = Array.length t.members
 let members t = Array.to_list t.members
 let member t i = t.members.(i)
-let directory t = t.directory
-let broker t = t.broker
 let engine t = t.engine
-let seed t = t.seed
-
 let member_named t name =
   let found = ref None in
   Array.iter (fun m -> if m.name = name then found := Some m) t.members;
@@ -248,26 +229,20 @@ let submit t ~identity ~rsl ~reply =
    credential on the request but cannot know the owner up front (e.g. a
    tokenized population workload) supplies [credential_for], which mints
    one against the located member's resource. *)
-let manage ?timeout ?credential_for t ~requester ?credential ~contact action ~reply =
+let manage ?credential_for t ~requester ~contact action ~reply =
   match locate t ~contact with
   | None -> reply (Error (Grid_gram.Protocol.Unknown_job contact))
   | Some m ->
     count t ~labels:[ ("resource", m.name) ] "fleet_management_routed_total";
-    let credential =
-      match (credential, credential_for) with
-      | (Some _ as c), _ | c, None -> c
-      | None, Some mint -> mint m.site.resource
-    in
-    Grid_gram.Resource.manage ?timeout m.site.resource ~requester ?credential ~contact
-      action ~reply
+    let credential = Option.bind credential_for (fun mint -> mint m.site.resource) in
+    Grid_gram.Resource.manage m.site.resource ~requester ?credential ~contact action ~reply
 
-let manage_sync t ~requester ?credential ~contact action =
+let manage_sync t ~requester ~contact action =
   match locate t ~contact with
   | None -> Error (Grid_gram.Protocol.Unknown_job contact)
   | Some m ->
     count t ~labels:[ ("resource", m.name) ] "fleet_management_routed_total";
-    Grid_gram.Resource.manage_direct m.site.resource ~requester ?credential ~contact
-      action
+    Grid_gram.Resource.manage_direct m.site.resource ~requester ~contact action
 
 (* Batched management across the fleet: requests are grouped by owning
    member (members in index order, requests in arrival order within each
@@ -319,11 +294,6 @@ let reload_member t i =
   let m = t.members.(i) in
   m.pep.reload (t.sources ());
   m.pep.epoch ()
-
-let reload t = Array.iteri (fun i _ -> ignore (reload_member t i)) t.members
-
-let refresh t =
-  Array.iter (fun m -> Grid_mds.Provider.publish_now m.provider) t.members
 
 (* Stop the publish loops so [Engine.run] can settle in-flight work and
    terminate — self-rescheduling providers (and pull-mode token

@@ -21,8 +21,6 @@ type submit_error =
   | Unreachable of (string * Grid_gram.Protocol.submit_error) list
       (** every ranked candidate timed out *)
 
-val submit_error_to_string : submit_error -> string
-
 val create :
   ?resources:int ->
   ?name_prefix:string ->
@@ -37,12 +35,7 @@ val create :
   ?faults:Grid_sim.Network.Faults.profile ->
   ?fault_seed:int ->
   ?request_timeout:float ->
-  ?precheck:(Grid_policy.Types.request -> bool) ->
   ?seed:int ->
-  ?breaker_threshold:int ->
-  ?breaker_cooldown:float ->
-  ?directory_ttl:Grid_sim.Clock.time ->
-  ?provider_period:Grid_sim.Clock.time ->
   ?sts:Grid_sts.Service.t ->
   sources:(unit -> Grid_policy.Combine.source list) ->
   engine:Grid_sim.Engine.t ->
@@ -70,10 +63,7 @@ val size : t -> int
 val members : t -> member list
 val member : t -> int -> member
 val member_named : t -> string -> member option
-val directory : t -> Grid_mds.Directory.t
-val broker : t -> Grid_mds.Broker.t
 val engine : t -> Grid_sim.Engine.t
-val seed : t -> int
 
 val member_name : member -> string
 val member_resource : member -> Grid_gram.Resource.t
@@ -123,11 +113,9 @@ val locate : t -> contact:string -> member option
     submissions). *)
 
 val manage :
-  ?timeout:float ->
   ?credential_for:(Grid_gram.Resource.t -> Grid_gsi.Credential.t option) ->
   t ->
   requester:Grid_gsi.Dn.t ->
-  ?credential:Grid_gsi.Credential.t ->
   contact:string ->
   Grid_gram.Protocol.management_action ->
   reply:
@@ -137,14 +125,14 @@ val manage :
 (** Route the request to the owning member and manage over its network;
     [Unknown_job] when no member owns the contact. The owning member's
     PEP decides — a jobtag granted at one site authorizes management of
-    tagged jobs at every site. Challenges are per-gatekeeper, so when no
-    [credential] is given, [credential_for] can mint one against the
-    located member's resource (the tokenized workload's path). *)
+    tagged jobs at every site. Challenges are per-gatekeeper, so
+    [credential_for] mints the credential against the located member's
+    resource (the tokenized workload's path); without it the request
+    carries none. *)
 
 val manage_sync :
   t ->
   requester:Grid_gsi.Dn.t ->
-  ?credential:Grid_gsi.Credential.t ->
   contact:string ->
   Grid_gram.Protocol.management_action ->
   (Grid_gram.Protocol.management_reply, Grid_gram.Protocol.management_error) result
@@ -168,12 +156,6 @@ val manage_many :
 
 val reload_member : t -> int -> int
 (** Re-pull [sources] into member [i]'s PEP; returns the new epoch. *)
-
-val reload : t -> unit
-(** {!reload_member} for every member. *)
-
-val refresh : t -> unit
-(** Force an immediate out-of-band publication from every provider. *)
 
 val quiesce : t -> unit
 (** Stop every provider's publish loop so [Engine.run] can settle the

@@ -39,7 +39,6 @@ let groups =
             "&(executable=audit)(directory=/sandbox/pop)(jobtag=POPADM)" |] } |]
 
 type t = {
-  seed : int;
   size : int;
   tag : string;      (* seed-derived community tag baked into every DN *)
   ln_bound : float;  (* log (size + 1), precomputed for the sampler *)
@@ -55,15 +54,12 @@ let mix z =
 
 let create ~seed ~size =
   if size < 1 then invalid_arg "Population.create: size must be positive";
-  { seed;
-    size;
+  { size;
     tag = Printf.sprintf "%08Lx" (Int64.logand (mix (Int64.of_int seed)) 0xffffffffL);
     ln_bound = log (float_of_int (size + 1));
     generation = 0 }
 
-let seed t = t.seed
 let size t = t.size
-let generation t = t.generation
 let churn t = t.generation <- t.generation + 1
 
 (* Group assignment is a pure function of the rank so it never needs
@@ -160,11 +156,6 @@ let policy t : Grid_policy.Types.t =
             { Grid_policy.Types.kind = Grid_policy.Types.Grant;
               subject_pattern = Grid_gsi.Dn.parse (group_prefix t g);
               clauses = Grid_vo.Profile.to_clauses (profile_for t g) }))
-
-let source t =
-  Grid_policy.Combine.source
-    ~name:(Printf.sprintf "population-%s-gen%d" t.tag t.generation)
-    (policy t)
 
 (* What a resource owner says about a guest community: its members may
    compute off the reserved queue, and management stays open for the

@@ -9,11 +9,7 @@ val create : seed:int -> size:int -> t
     seed, the size, a derived community tag and a churn counter are
     resident. Raises [Invalid_argument] when [size < 1]. *)
 
-val seed : t -> int
 val size : t -> int
-
-val generation : t -> int
-(** The group/role churn counter; starts at 0. *)
 
 val churn : t -> unit
 (** Advance the churn generation: {!source} afterwards grants different
@@ -51,10 +47,6 @@ val policy : t -> Grid_policy.Types.t
 (** The community policy at the current generation: one jobtag
     requirement on the root plus one grant statement per group prefix —
     O(groups) statements for the whole population. *)
-
-val source : t -> Grid_policy.Combine.source
-(** {!policy} wrapped as a combinable source; the name carries the
-    community tag and generation. *)
 
 val owner_policy : t -> Grid_policy.Types.t
 (** The resource-owner side of admitting this community: start off the

@@ -86,7 +86,6 @@ type report = {
   crashes : int;
   jobs_restored : int;
   events_checked : int;
-  final_epoch : int option;
   violations : Grid_obs.Monitor.violation list;
 }
 
@@ -799,7 +798,6 @@ let run (config : config) : report =
     jobs_restored = !restored;
     events_checked =
       (match monitor with Some m -> Grid_obs.Monitor.events_seen m | None -> 0);
-    final_epoch = Some (epoch ());
     violations =
       (match monitor with Some m -> Grid_obs.Monitor.violations m | None -> []) }
 

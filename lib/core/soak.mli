@@ -81,7 +81,6 @@ type report = {
   crashes : int;
   jobs_restored : int;
   events_checked : int;
-  final_epoch : int option;
   violations : Grid_obs.Monitor.violation list;
 }
 

@@ -19,24 +19,19 @@
 type t = {
   identity : Grid_gsi.Identity.t;
   resource : Resource.t;
-  retry : Grid_util.Retry.policy;
-  attempt_timeout : float;
   rng : Grid_util.Rng.t;  (* backoff jitter stream *)
 }
 
-let create ?(retry = Grid_util.Retry.default) ?(attempt_timeout = 0.25) ?(seed = 11)
-    ~identity ~resource () =
-  { identity; resource; retry; attempt_timeout; rng = Grid_util.Rng.create ~seed }
+let create ~identity ~resource () =
+  { identity; resource; rng = Grid_util.Rng.create ~seed:11 }
 
 let identity t = t.identity
-let subject t = Grid_gsi.Identity.subject t.identity
-
 let credential_for t =
   let challenge = Resource.new_challenge t.resource in
   Grid_gsi.Credential.of_identity t.identity ~challenge
 
-let submit ?timeout t ~rsl ~reply =
-  Resource.submit ?timeout t.resource ~credential:(credential_for t) ~rsl ~reply
+let submit t ~rsl ~reply =
+  Resource.submit t.resource ~credential:(credential_for t) ~rsl ~reply
 
 let manage ?timeout t ~contact action ~reply =
   Resource.manage ?timeout t.resource
@@ -50,13 +45,16 @@ let action_label = function
   | Protocol.Status -> "status"
   | Protocol.Signal _ -> "signal"
 
-(* Retry [action] until it yields a non-timeout result, the policy's
-   attempts run out, or the (relative) [deadline] would be overshot.
+(* Each attempt gets at most this long before it counts as timed out. *)
+let attempt_timeout = 0.25
+
+(* Retry [action] until it yields a non-timeout result, the default
+   policy's attempts run out, or the (relative) [deadline] would be
+   overshot.
    Only [Request_timed_out] is retried — every other error is a definite
    answer from the resource. Each attempt mints a fresh credential, so a
    duplicate-delivered earlier attempt can never be replayed. *)
-let manage_with_retry ?policy ?deadline t ~contact action ~reply =
-  let policy = match policy with Some p -> p | None -> t.retry in
+let manage_with_retry ?deadline t ~contact action ~reply =
   let engine = Resource.engine t.resource in
   let obs = Resource.obs t.resource in
   let label = action_label action in
@@ -78,15 +76,15 @@ let manage_with_retry ?policy ?deadline t ~contact action ~reply =
        left of the overall deadline. *)
     let budget =
       match absolute_deadline with
-      | None -> t.attempt_timeout
-      | Some d -> Float.min t.attempt_timeout (d -. now)
+      | None -> attempt_timeout
+      | Some d -> Float.min attempt_timeout (d -. now)
     in
     if budget <= 0.0 then give_up ~attempts:(n - 1) "deadline expired"
     else
       manage ~timeout:budget t ~contact action ~reply:(function
         | Error (Protocol.Request_timed_out msg) -> begin
           match
-            Grid_util.Retry.next policy ~rng:t.rng ~now:(Grid_sim.Engine.now engine)
+            Grid_util.Retry.next Grid_util.Retry.default ~rng:t.rng ~now:(Grid_sim.Engine.now engine)
               ~deadline:absolute_deadline ~attempt:n
           with
           | Grid_util.Retry.Give_up reason ->
@@ -111,19 +109,19 @@ let await engine cell =
   | Some v -> v
   | None -> failwith "Client: no reply (simulation drained)"
 
-let submit_sync ?timeout t ~rsl =
+let submit_sync t ~rsl =
   let cell = ref None in
-  submit ?timeout t ~rsl ~reply:(fun r -> cell := Some r);
+  submit t ~rsl ~reply:(fun r -> cell := Some r);
   await (Resource.engine t.resource) cell
 
-let manage_sync ?timeout t ~contact action =
+let manage_sync t ~contact action =
   let cell = ref None in
-  manage ?timeout t ~contact action ~reply:(fun r -> cell := Some r);
+  manage t ~contact action ~reply:(fun r -> cell := Some r);
   await (Resource.engine t.resource) cell
 
-let manage_with_retry_sync ?policy ?deadline t ~contact action =
+let manage_with_retry_sync ?deadline t ~contact action =
   let cell = ref None in
-  manage_with_retry ?policy ?deadline t ~contact action ~reply:(fun r -> cell := Some r);
+  manage_with_retry ?deadline t ~contact action ~reply:(fun r -> cell := Some r);
   await (Resource.engine t.resource) cell
 
 let watch t ~contact ~on_state_change =

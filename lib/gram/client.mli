@@ -7,26 +7,17 @@
 
 type t
 
-val create :
-  ?retry:Grid_util.Retry.policy ->
-  ?attempt_timeout:float ->
-  ?seed:int ->
-  identity:Grid_gsi.Identity.t ->
-  resource:Resource.t ->
-  unit ->
-  t
-(** [retry] (default {!Grid_util.Retry.default}) governs
-    {!manage_with_retry_sync}; [attempt_timeout] (default 0.25s) bounds each
-    individual attempt; [seed] feeds the backoff-jitter stream. *)
+val create : identity:Grid_gsi.Identity.t -> resource:Resource.t -> unit -> t
+(** {!manage_with_retry_sync} retries under {!Grid_util.Retry.default},
+    bounds each attempt by 0.25 s and draws backoff jitter from a stream
+    seeded with 11. *)
 
 val identity : t -> Grid_gsi.Identity.t
-val subject : t -> Grid_gsi.Dn.t
 
 val credential_for : t -> Grid_gsi.Credential.t
 (** Fresh credential bound to a challenge newly minted by the resource. *)
 
 val submit :
-  ?timeout:float ->
   t ->
   rsl:string ->
   reply:((Protocol.submit_reply, Protocol.submit_error) result -> unit) ->
@@ -40,19 +31,16 @@ val manage :
   reply:((Protocol.management_reply, Protocol.management_error) result -> unit) ->
   unit
 
-val submit_sync :
-  ?timeout:float -> t -> rsl:string -> (Protocol.submit_reply, Protocol.submit_error) result
+val submit_sync : t -> rsl:string -> (Protocol.submit_reply, Protocol.submit_error) result
 (** Drive the simulation until the reply arrives. *)
 
 val manage_sync :
-  ?timeout:float ->
   t ->
   contact:string ->
   Protocol.management_action ->
   (Protocol.management_reply, Protocol.management_error) result
 
 val manage_with_retry_sync :
-  ?policy:Grid_util.Retry.policy ->
   ?deadline:float ->
   t ->
   contact:string ->
@@ -60,7 +48,7 @@ val manage_with_retry_sync :
   (Protocol.management_reply, Protocol.management_error) result
 (** Retry the (idempotent) management request on [Request_timed_out]
     with exponential backoff, until a definite answer arrives, the
-    policy's attempts run out, or the [deadline] (seconds from now)
+    default policy's attempts run out, or the [deadline] (seconds from now)
     would be overshot, driving the simulation until then. A deadline of
     0 fails immediately without sending anything. Retries and exhaustion
     are counted under

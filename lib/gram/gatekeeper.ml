@@ -25,7 +25,6 @@ type t = {
   trace : Grid_sim.Trace.t;
   obs : Grid_obs.Obs.t;
   outstanding_challenges : (string, unit) Hashtbl.t;
-  mutable submissions : int;
 }
 
 let create ?gatekeeper_pep ?allocation ~name ~trust ~mapper ~mode ~lrm ~engine ~audit
@@ -34,7 +33,7 @@ let create ?gatekeeper_pep ?allocation ~name ~trust ~mapper ~mode ~lrm ~engine ~
     Option.map (Grid_callout.Callout.instrument ~backend:"gatekeeper" ~obs) gatekeeper_pep
   in
   { name; trust; mapper; mode; gatekeeper_pep; allocation; lrm; engine; audit; trace; obs;
-    outstanding_challenges = Hashtbl.create 16; submissions = 0 }
+    outstanding_challenges = Hashtbl.create 16 }
 
 let now t = Grid_sim.Engine.now t.engine
 
@@ -182,7 +181,6 @@ let submit_inner t ~(credential : Grid_gsi.Credential.t) ~(rsl : string) :
       end)
 
 let handle_submit t ~credential ~rsl =
-  t.submissions <- t.submissions + 1;
   if not (Grid_obs.Obs.enabled t.obs) then submit_inner t ~credential ~rsl
   else
     Grid_obs.Obs.with_span t.obs "gatekeeper.submit" (fun span ->
@@ -191,5 +189,3 @@ let handle_submit t ~credential ~rsl =
         Grid_obs.Span.set_attr span "outcome" outcome;
         Grid_obs.Obs.incr t.obs ~labels:[ ("outcome", outcome) ] "jobs_submitted_total";
         result)
-
-let submissions t = t.submissions

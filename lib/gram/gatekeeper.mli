@@ -45,5 +45,3 @@ val handle_submit :
 (** The full Figure 1/2 gatekeeper path: authenticate, (baseline) reject
     the jobtag protocol extension, map to a local account, create and
     start a JMI. *)
-
-val submissions : t -> int

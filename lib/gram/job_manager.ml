@@ -209,8 +209,7 @@ let start_inner t ~(credential : Grid_gsi.Credential.t option) :
         | Some r, Some cap -> Some (Float.min r cap)
       in
       let spec =
-        { Grid_lrm.Lrm.account = t.account;
-          cpus = t.job.Grid_rsl.Job.count;
+        { Grid_lrm.Lrm.cpus = t.job.Grid_rsl.Job.count;
           duration = duration_of_job t.job;
           walltime_limit;
           queue = t.job.Grid_rsl.Job.queue }
@@ -317,12 +316,9 @@ let status t : (Protocol.job_status, Protocol.management_error) result =
     | Error e -> Error (Protocol.Invalid_request (Grid_lrm.Lrm.error_to_string e))
     | Ok st ->
       Ok
-        { Protocol.contact = t.contact;
-          owner = t.owner;
+        { Protocol.owner = t.owner;
           state = Protocol.job_state_of_lrm st.Grid_lrm.Lrm.job_state;
-          jobtag = t.jobtag;
-          account = t.account;
-          cpus = st.Grid_lrm.Lrm.job_cpus }
+          jobtag = t.jobtag }
   end
 
 let perform t (action : Protocol.management_action) :

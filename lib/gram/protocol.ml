@@ -98,12 +98,9 @@ let job_state_of_lrm : Grid_lrm.Lrm.state -> job_state = function
   | Grid_lrm.Lrm.Killed why -> Failed why
 
 type job_status = {
-  contact : string;
   owner : Grid_gsi.Dn.t;
   state : job_state;
   jobtag : string option;
-  account : string;
-  cpus : int;
 }
 
 type submit_reply = {

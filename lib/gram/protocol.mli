@@ -49,12 +49,9 @@ val job_state_to_string : job_state -> string
 val job_state_of_lrm : Grid_lrm.Lrm.state -> job_state
 
 type job_status = {
-  contact : string;
   owner : Grid_gsi.Dn.t;
   state : job_state;
   jobtag : string option;
-  account : string;
-  cpus : int;
 }
 
 type submit_reply = {

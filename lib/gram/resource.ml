@@ -144,7 +144,6 @@ let audit t = t.audit
 let trace t = t.trace
 let obs t = t.obs
 let authz_cache t = t.authz_cache
-let gatekeeper t = t.gatekeeper
 let store t = t.store
 
 let now t = Grid_sim.Engine.now t.engine
@@ -534,7 +533,7 @@ let effective_timeout t timeout =
    (the delivery continuation re-establishes the id — the ambient stack
    does not survive the scheduling gap), the reply and even a timeout all
    share one chain. *)
-let submit ?timeout t ~credential ~rsl ~reply =
+let submit t ~credential ~rsl ~reply =
   Grid_sim.Trace.record t.trace ~at:(now t) ~source:"client"
     ~target:(t.name ^ ":gatekeeper") "job request + credentials";
   let corr = Grid_obs.Obs.fresh_correlation t.obs in
@@ -547,8 +546,7 @@ let submit ?timeout t ~credential ~rsl ~reply =
         [ ("kind", "submit") ];
     settle ~timed_out result
   in
-  arm_timeout t ~timeout:(effective_timeout t timeout) ~settle (fun m ->
-      Protocol.Request_timeout m);
+  arm_timeout t ~timeout:t.request_timeout ~settle (fun m -> Protocol.Request_timeout m);
   Grid_sim.Network.send ~link:"client->resource" t.network (fun () ->
       Grid_obs.Obs.with_correlation t.obs ~corr (fun () ->
           let result =

@@ -55,8 +55,6 @@ val authz_cache : t -> Grid_callout.Cache.t option
 (** The authorization decision cache the resource was built with, for
     statistics views ([gridctl metrics]) and tests. *)
 
-val gatekeeper : t -> Gatekeeper.t
-
 val store : t -> Grid_store.Store.t option
 (** The durable store the resource was built with, if any. *)
 
@@ -136,15 +134,14 @@ val manage_many_direct :
     order. *)
 
 val submit :
-  ?timeout:float ->
   t ->
   credential:Grid_gsi.Credential.t ->
   rsl:string ->
   reply:((Protocol.submit_reply, Protocol.submit_error) result -> unit) ->
   unit
 (** Networked submission: traces the Figure 1/2 arrows and delivers the
-    reply asynchronously. With a [timeout] (or a resource-level
-    [request_timeout]) the reply callback fires exactly once: with the
+    reply asynchronously. With a resource-level [request_timeout] the
+    reply callback fires exactly once: with the
     result, or with [Request_timeout] if no reply arrived in time — late
     and duplicate replies are discarded. *)
 

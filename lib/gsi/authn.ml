@@ -6,11 +6,7 @@
    security context carrying the authenticated grid identity, which the
    Gatekeeper and Job Manager consult for all subsequent authorization. *)
 
-type context = {
-  peer : Dn.t;               (* authenticated effective grid identity *)
-  credential : Credential.t; (* as presented, for delegation-aware callers *)
-  established_at : Grid_sim.Clock.time;
-}
+type context = { peer : Dn.t (* authenticated effective grid identity *) }
 
 type error =
   | Credential_error of Credential.error
@@ -19,8 +15,6 @@ type error =
 let error_to_string = function
   | Credential_error e -> "authentication failed: " ^ Credential.error_to_string e
   | Challenge_mismatch -> "authentication failed: challenge mismatch"
-
-let pp_error ppf e = Fmt.string ppf (error_to_string e)
 
 let challenge_counter = ref 0
 
@@ -35,12 +29,4 @@ let authenticate ~(trust : Ca.Trust_store.store) ~now ~challenge (credential : C
   else
     match Credential.validate credential ~trust ~now with
     | Error e -> Error (Credential_error e)
-    | Ok peer -> Ok { peer; credential; established_at = now }
-
-(* One-shot convenience: verifier mints the challenge, identity answers. *)
-let handshake ~trust ~now (identity : Identity.t) =
-  let challenge = fresh_challenge () in
-  authenticate ~trust ~now ~challenge (Credential.of_identity identity ~challenge)
-
-let pp ppf ctx =
-  Fmt.pf ppf "authn-context(%a @@ %.3f)" Dn.pp ctx.peer ctx.established_at
+    | Ok peer -> Ok { peer }

@@ -1,17 +1,12 @@
 (** Mutual authentication: the GSI handshake producing a security context. *)
 
-type context = {
-  peer : Dn.t;
-  credential : Credential.t;
-  established_at : Grid_sim.Clock.time;
-}
+type context = { peer : Dn.t  (** the authenticated effective grid identity *) }
 
 type error =
   | Credential_error of Credential.error
   | Challenge_mismatch
 
 val error_to_string : error -> string
-val pp_error : error Fmt.t
 
 val fresh_challenge : unit -> string
 
@@ -22,12 +17,3 @@ val authenticate :
   Credential.t ->
   (context, error) result
 (** Verify a credential bound to the given challenge. *)
-
-val handshake :
-  trust:Ca.Trust_store.store ->
-  now:Grid_sim.Clock.time ->
-  Identity.t ->
-  (context, error) result
-(** Mint a challenge and authenticate the identity against it. *)
-
-val pp : context Fmt.t

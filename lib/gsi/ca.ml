@@ -25,15 +25,11 @@ let create ?(lifetime = Grid_sim.Clock.hours 24.0) ?(default_identity_lifetime =
   { name; keypair; certificate; default_lifetime = default_identity_lifetime }
 
 let certificate t = t.certificate
-let name t = t.name
-
-let issue ?lifetime ?(extensions = []) t ~now ~subject ~public_key =
+let issue ?lifetime t ~now ~subject ~public_key =
   let lifetime = Option.value lifetime ~default:t.default_lifetime in
   Cert.make ~kind:Cert.End_entity ~subject ~issuer:t.name ~public_key ~not_before:now
-    ~not_after:(Grid_sim.Clock.add now lifetime) ~extensions
+    ~not_after:(Grid_sim.Clock.add now lifetime) ~extensions:[]
     ~signing_key:(Grid_crypto.Keypair.secret t.keypair)
-
-let signing_key t = Grid_crypto.Keypair.secret t.keypair
 
 module Trust_store = struct
   (* Trust anchors plus a certificate revocation list. Real GSI

@@ -13,19 +13,15 @@ val create :
     lifetime of issued identity certs 12 h. *)
 
 val certificate : t -> Cert.t
-val name : t -> Dn.t
 
 val issue :
   ?lifetime:Grid_sim.Clock.time ->
-  ?extensions:Cert.extension list ->
   t ->
   now:Grid_sim.Clock.time ->
   subject:Dn.t ->
   public_key:Grid_crypto.Keypair.public ->
   Cert.t
 (** Issue an end-entity certificate. *)
-
-val signing_key : t -> Grid_crypto.Keypair.secret
 
 (** A verifier's set of trusted CA certificates. *)
 module Trust_store : sig

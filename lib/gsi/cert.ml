@@ -71,7 +71,3 @@ let valid_at t ~now = t.not_before <= now && now <= t.not_after
 let find_extension t oid = List.find_opt (fun e -> e.oid = oid) t.extensions
 
 let fingerprint t = Grid_crypto.Sha256.digest_hex (signing_bytes t ^ t.signature)
-
-let pp ppf t =
-  Fmt.pf ppf "@[<v 1>Certificate #%d (%s):@ subject = %a@ issuer  = %a@ valid   = [%.1f, %.1f]@]"
-    t.serial (kind_to_string t.kind) Dn.pp t.subject Dn.pp t.issuer t.not_before t.not_after

@@ -20,8 +20,6 @@ type t = {
   signature : string;
 }
 
-val kind_to_string : kind -> string
-
 val make :
   kind:kind ->
   subject:Dn.t ->
@@ -34,9 +32,6 @@ val make :
   t
 (** Issue a certificate, signing the canonical encoding of all fields. *)
 
-val signing_bytes : t -> string
-(** The canonical to-be-signed encoding; any field change alters it. *)
-
 val verify_signature : t -> issuer_key:Grid_crypto.Keypair.public -> bool
 
 val valid_at : t -> now:Grid_sim.Clock.time -> bool
@@ -45,5 +40,3 @@ val find_extension : t -> string -> extension option
 
 val fingerprint : t -> string
 (** SHA-256 fingerprint over body and signature. *)
-
-val pp : t Fmt.t

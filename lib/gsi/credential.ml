@@ -41,8 +41,6 @@ let error_to_string = function
   | Revoked dn -> "certificate revoked: " ^ Dn.to_string dn
   | Bad_possession_proof -> "proof of possession failed"
 
-let pp_error ppf e = Fmt.string ppf (error_to_string e)
-
 let of_identity (id : Identity.t) ~challenge =
   { chain = Identity.chain id;
     proof = Grid_crypto.Keypair.sign (Identity.secret_key id) challenge;
@@ -115,6 +113,3 @@ let is_limited t =
 
 let delegation_depth t =
   List.length (List.filter (fun (c : Cert.t) -> c.Cert.kind = Cert.Proxy) t.chain)
-
-let pp ppf t =
-  Fmt.pf ppf "credential(%a, depth %d)" Dn.pp (effective_subject t) (delegation_depth t)

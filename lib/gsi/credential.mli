@@ -17,17 +17,9 @@ type error =
   | Bad_possession_proof
 
 val error_to_string : error -> string
-val pp_error : error Fmt.t
 
 val of_identity : Identity.t -> challenge:string -> t
 (** Build the credential an identity presents against a given challenge. *)
-
-val subject : t -> Dn.t
-(** Leaf certificate subject ([[]] if the chain is empty). *)
-
-val effective_subject : t -> Dn.t
-(** The grid identity asserted: the end-entity subject beneath any
-    proxies. *)
 
 val validate :
   t -> trust:Ca.Trust_store.store -> now:Grid_sim.Clock.time -> (Dn.t, error) result
@@ -40,5 +32,3 @@ val is_limited : t -> bool
 
 val delegation_depth : t -> int
 (** Number of proxy certificates in the chain. *)
-
-val pp : t Fmt.t

@@ -67,5 +67,3 @@ let is_limited t =
     (fun (c : Cert.t) ->
       c.Cert.kind = Cert.Proxy && Dn.common_name c.Cert.subject = Some limited_proxy_cn)
     (chain t)
-
-let pp ppf t = Fmt.pf ppf "identity(%a)" Dn.pp t.subject

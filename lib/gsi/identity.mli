@@ -32,5 +32,3 @@ val delegate :
 val is_limited : t -> bool
 (** A limited proxy appears anywhere in the chain: limitation is
     inherited by further delegation. *)
-
-val pp : t Fmt.t

@@ -57,14 +57,13 @@ let deposit t ~(identity : Identity.t) ~authorized_renewers
   end
   else `Deposited
 
-
 let renewals t = t.renewals
 let replacements t = t.replacements
 
 (* Draw a fresh proxy of [owner]'s escrowed identity. The renewer
    authenticates with their own credential; self-renewal (owner drawing
    their own fresh proxy) is always permitted. *)
-let renew t ~(trust : Ca.Trust_store.store) ~now ?lifetime ~owner
+let renew t ~(trust : Ca.Trust_store.store) ~now ~owner
     (renewer_credential : Credential.t) : (Identity.t, error) result =
   match Hashtbl.find_opt t.deposits (Dn.to_string owner) with
   | None -> Error (No_deposit owner)
@@ -82,12 +81,7 @@ let renew t ~(trust : Ca.Trust_store.store) ~now ?lifetime ~owner
       else if not (Cert.valid_at (Identity.certificate deposit.identity) ~now) then
         Error (Escrowed_credential_expired owner)
       else begin
-        let lifetime =
-          match lifetime with
-          | Some l -> Float.min l deposit.max_proxy_lifetime
-          | None -> deposit.max_proxy_lifetime
-        in
         t.renewals <- t.renewals + 1;
-        Ok (Identity.delegate deposit.identity ~now ~lifetime)
+        Ok (Identity.delegate deposit.identity ~now ~lifetime:deposit.max_proxy_lifetime)
       end
   end

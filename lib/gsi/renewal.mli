@@ -37,10 +37,9 @@ val renew :
   t ->
   trust:Ca.Trust_store.store ->
   now:Grid_sim.Clock.time ->
-  ?lifetime:Grid_sim.Clock.time ->
   owner:Dn.t ->
   Credential.t ->
   (Identity.t, error) result
 (** Authenticate the renewer, check the authorization list (self-renewal
-    always allowed), and issue a fresh proxy of the escrowed identity,
-    capped at the deposit's lifetime limit. *)
+    always allowed), and issue a fresh proxy of the escrowed identity
+    for the deposit's lifetime limit. *)

@@ -47,7 +47,6 @@ let state_to_string = function
   | Killed why -> "killed: " ^ why
 
 type spec = {
-  account : string;                (* local credential the job runs under *)
   cpus : int;
   duration : float;                (* compute seconds needed *)
   walltime_limit : float option;   (* job-level cap, seconds *)
@@ -98,8 +97,6 @@ let error_to_string = function
   | Unknown_job id -> "unknown job: " ^ id
   | Invalid_transition { job; state; operation } ->
     Printf.sprintf "cannot %s job %s in state %s" operation job (state_to_string state)
-
-let pp_error ppf e = Fmt.string ppf (error_to_string e)
 
 let default_queues =
   [ { queue_name = "batch"; priority = 0; max_walltime = None };
@@ -400,14 +397,8 @@ let set_priority t id priority =
     Ok id
 
 type status = {
-  job_id : string;
   job_state : state;
-  job_account : string;
-  job_cpus : int;
   job_remaining : float;
-  job_walltime_used : float;
-  job_queue : string;
-  job_priority : int;
 }
 
 let query t id =
@@ -415,14 +406,7 @@ let query t id =
   | Error _ as e -> e
   | Ok job ->
     Ok
-      { job_id = job.id;
-        job_state = job.state;
-        job_account = job.spec.account;
-        job_cpus = job.spec.cpus;
-        job_remaining = job.remaining;
-        job_walltime_used = job.walltime_used;
-        job_queue = job.queue.queue_name;
-        job_priority = job.priority }
+      { job_state = job.state; job_remaining = job.remaining }
 
 let jobs t = Hashtbl.fold (fun _ job acc -> job :: acc) t.jobs []
 

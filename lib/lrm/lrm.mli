@@ -27,7 +27,6 @@ val is_terminal : state -> bool
 (** [Completed], [Cancelled] or [Killed]: the job will not change again. *)
 
 type spec = {
-  account : string;
   cpus : int;
   duration : float;
   walltime_limit : float option;
@@ -61,7 +60,6 @@ type error =
   | Invalid_transition of { job : string; state : state; operation : string }
 
 val error_to_string : error -> string
-val pp_error : error Fmt.t
 
 val default_queues : queue_config list
 (** "batch" (priority 0, no cap) and "priority" (priority 10, 2 h cap). *)
@@ -106,14 +104,8 @@ val resume : t -> string -> (string, error) result
 val set_priority : t -> string -> int -> (string, error) result
 
 type status = {
-  job_id : string;
   job_state : state;
-  job_account : string;
-  job_cpus : int;
   job_remaining : float;
-  job_walltime_used : float;
-  job_queue : string;
-  job_priority : int;
 }
 
 val query : t -> string -> (status, error) result

@@ -29,7 +29,6 @@ type t = {
   (* Authorization pre-check: VO-side advice only. The resource's own
      PEP remains authoritative — the broker never bypasses it. *)
   precheck : (Grid_policy.Types.request -> bool) option;
-  seed : int;
   obs : Grid_obs.Obs.t;
   (* Per-plan salt folded into the tie-break: equal-capacity sites
      rotate across successive selections instead of funnelling every
@@ -76,11 +75,9 @@ let create ?precheck ?(seed = 0) ?breaker_threshold ?breaker_cooldown ?obs ~dire
             tiebreak = tiebreak_of ~seed name })
         candidates;
     precheck;
-    seed;
     obs = Option.value obs ~default:Grid_obs.Obs.noop;
     plans = 0 }
 
-let seed t = t.seed
 let now t = Grid_sim.Engine.now (Directory.engine t.directory)
 
 let breaker_state t name =

@@ -34,8 +34,6 @@ val create :
     while open the site is skipped by {!plan} and {!submit}. [obs]
     counts selections and skips per resource. *)
 
-val seed : t -> int
-
 val plan : t -> job:Grid_rsl.Job.t -> Grid_gram.Resource.t list
 (** Candidate resources for a job, ranked: most free cpus first, then
     fewest pending jobs, then the seeded tie-break. Only fresh directory

@@ -30,11 +30,9 @@ type t = {
   engine : Grid_sim.Engine.t;
   ttl : Grid_sim.Clock.time;
   entries : (string, entry) Hashtbl.t;
-  mutable publications : int;
-  mutable queries : int;
 }
 
-let create ?(ttl = 60.0) engine = { engine; ttl; entries = Hashtbl.create 16; publications = 0; queries = 0 }
+let create ?(ttl = 60.0) engine = { engine; ttl; entries = Hashtbl.create 16 }
 
 let engine t = t.engine
 
@@ -49,14 +47,10 @@ let register t (info : static_info) =
    no-op for unknown names, so churny detach paths need no guard. *)
 let deregister t resource_name = Hashtbl.remove t.entries resource_name
 
-let registered t resource_name = Hashtbl.mem t.entries resource_name
-
 let publish t ~resource_name status =
   match Hashtbl.find_opt t.entries resource_name with
   | None -> invalid_arg ("Directory.publish: unregistered resource " ^ resource_name)
-  | Some entry ->
-    t.publications <- t.publications + 1;
-    entry.latest <- Some status
+  | Some entry -> entry.latest <- Some status
 
 let fresh t (entry : entry) =
   match entry.latest with
@@ -71,7 +65,6 @@ let entries t = Hashtbl.fold (fun _ e acc -> e :: acc) t.entries []
    publication is older than the TTL. Results are sorted by free
    capacity, fullest-first consumers can reverse. *)
 let query ?(fresh_only = true) ?min_free_cpus ?queue ?site t =
-  t.queries <- t.queries + 1;
   entries t
   |> List.filter (fun e ->
          ((not fresh_only) || fresh t e)
@@ -88,9 +81,6 @@ let query ?(fresh_only = true) ?min_free_cpus ?queue ?site t =
          | Some _, None -> -1
          | None, Some _ -> 1
          | None, None -> compare a.info.resource_name b.info.resource_name)
-
-let publications t = t.publications
-let queries t = t.queries
 
 let pp_entry now ppf (e : entry) =
   match e.latest with

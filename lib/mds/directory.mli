@@ -34,15 +34,10 @@ val deregister : t -> string -> unit
 (** Remove a resource entirely (decommissioning): it no longer appears
     in any query or lookup until re-registered. No-op when unknown. *)
 
-val registered : t -> string -> bool
-
 val publish : t -> resource_name:string -> status -> unit
 (** Raises [Invalid_argument] for unregistered resources. *)
 
-val fresh : t -> entry -> bool
-
 val lookup : t -> string -> entry option
-val entries : t -> entry list
 
 val query :
   ?fresh_only:bool ->
@@ -53,8 +48,5 @@ val query :
   entry list
 (** Filtered entries, most free capacity first. [fresh_only] defaults to
     [true]. *)
-
-val publications : t -> int
-val queries : t -> int
 
 val pp_entry : Grid_sim.Clock.time -> entry Fmt.t

@@ -6,9 +6,6 @@
    scheduler. *)
 
 type t = {
-  directory : Directory.t;
-  resource : Grid_gram.Resource.t;
-  period : Grid_sim.Clock.time;
   mutable publications : int;
   mutable stopped : bool;
 }
@@ -28,7 +25,7 @@ let attach ?(period = 30.0) ?(site = "default") ~directory resource =
       total_cpus = Grid_lrm.Lrm.capacity lrm;
       queues = Grid_lrm.Lrm.queue_names lrm };
   let engine = Grid_gram.Resource.engine resource in
-  let provider = { directory; resource; period; publications = 0; stopped = false } in
+  let provider = { publications = 0; stopped = false } in
   let rec publish () =
     if not provider.stopped then begin
       let now = Grid_sim.Engine.now engine in
@@ -43,11 +40,5 @@ let attach ?(period = 30.0) ?(site = "default") ~directory resource =
   provider
 
 let stop t = t.stopped <- true
-
-let publish_now t =
-  let engine = Grid_gram.Resource.engine t.resource in
-  Directory.publish t.directory
-    ~resource_name:(Grid_gram.Resource.name t.resource)
-    (status_of t.resource ~now:(Grid_sim.Engine.now engine))
 
 let publications t = t.publications

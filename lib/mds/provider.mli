@@ -15,7 +15,4 @@ val attach :
 val stop : t -> unit
 (** Cease publication after the current period. *)
 
-val publish_now : t -> unit
-(** Out-of-band immediate publication. *)
-
 val publications : t -> int

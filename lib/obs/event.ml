@@ -21,7 +21,6 @@
    plain callbacks. The safety monitor is just one subscriber. *)
 
 type t = {
-  seq : int;             (* global emission order, for forensics only *)
   at : Grid_sim.Clock.time;
   corr : string option;  (* correlation id of the originating request *)
   layer : string;        (* emitting component: "gram", "callout", ... *)
@@ -31,18 +30,14 @@ type t = {
 
 type bus = {
   mutable listeners : (t -> unit) list;
-  mutable next_seq : int;
-  mutable emitted : int;
   mutable corr_stack : string list;  (* innermost first *)
   mutable next_corr : int;
 }
 
 let create_bus () =
-  { listeners = []; next_seq = 0; emitted = 0; corr_stack = []; next_corr = 0 }
+  { listeners = []; corr_stack = []; next_corr = 0 }
 
 let subscribe bus f = bus.listeners <- f :: bus.listeners
-
-let emitted bus = bus.emitted
 
 (* --- Correlation ids --------------------------------------------------- *)
 
@@ -68,10 +63,7 @@ let with_corr bus corr f =
 
 let emit bus ~at ?corr ~layer ~kind attrs =
   let corr = match corr with Some _ as c -> c | None -> current_corr bus in
-  let seq = bus.next_seq in
-  bus.next_seq <- seq + 1;
-  bus.emitted <- bus.emitted + 1;
-  let event = { seq; at; corr; layer; kind; attrs } in
+  let event = { at; corr; layer; kind; attrs } in
   List.iter (fun f -> f event) (List.rev bus.listeners)
 
 (* --- Inspection -------------------------------------------------------- *)

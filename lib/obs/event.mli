@@ -13,7 +13,6 @@
     {!emit} attaches the innermost id automatically. *)
 
 type t = {
-  seq : int;  (** global emission order (monotonic per bus) *)
   at : Grid_sim.Clock.time;
   corr : string option;  (** correlation id of the originating request *)
   layer : string;  (** emitting component, e.g. ["gram"], ["callout"] *)
@@ -27,9 +26,6 @@ val create_bus : unit -> bus
 
 val subscribe : bus -> (t -> unit) -> unit
 (** Listeners run synchronously at emission, in subscription order. *)
-
-val emitted : bus -> int
-(** Total events emitted on this bus. *)
 
 val fresh_corr : bus -> string
 (** Mint a new correlation id (["c-000042"]); deterministic per bus. *)

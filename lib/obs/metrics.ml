@@ -135,8 +135,8 @@ let counter_total t name =
       | _ -> acc)
     t.table 0.0
 
-let gauge_value t ?(labels = []) name =
-  match lookup t name labels with
+let gauge_value t name =
+  match lookup t name [] with
   | Some { cell = Gauge_cell r; _ } -> r.g
   | Some _ | None -> 0.0
 
@@ -331,17 +331,3 @@ let to_json t =
               buckets))
   in
   "{\"series\":[" ^ String.concat "," (List.map series_json (dump t)) ^ "]}"
-
-let pp ppf t =
-  let pp_series ppf s =
-    match s.series_data with
-    | Counter v ->
-      Fmt.pf ppf "%s%s %s" s.series_name (render_labels s.series_labels) (float_repr v)
-    | Gauge v ->
-      Fmt.pf ppf "%s%s %s" s.series_name (render_labels s.series_labels) (float_repr v)
-    | Histogram { summary; _ } ->
-      Fmt.pf ppf "%s%s count=%d p50=%.4f p90=%.4f p99=%.4f max=%.4f" s.series_name
-        (render_labels s.series_labels) summary.count summary.p50 summary.p90
-        summary.p99 summary.max
-  in
-  Fmt.pf ppf "@[<v>%a@]" (Fmt.list pp_series) (dump t)

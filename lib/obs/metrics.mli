@@ -36,7 +36,7 @@ val counter_value : t -> ?labels:labels -> string -> float
 val counter_total : t -> string -> float
 (** Sum of a counter over all its label sets. *)
 
-val gauge_value : t -> ?labels:labels -> string -> float
+val gauge_value : t -> string -> float
 
 type summary = {
   count : int;
@@ -72,7 +72,3 @@ val dump : t -> series list
 
 val to_prometheus : t -> string
 val to_json : t -> string
-
-val pp : t Fmt.t
-(** Human-readable snapshot (counters and gauges; histograms as
-    count/p50/p90/p99/max). *)

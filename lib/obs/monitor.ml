@@ -86,7 +86,6 @@ type t = {
      driver, which holds the live policy sources per epoch. *)
   oracle : oracle option;
   propagation_window : float;
-  chain_limit : int;
   (* Epoch freshness is scoped per resource (the "resource" event
      attribute; "" when absent): each fleet member reloads on its own
      cadence, and site A's decisions must only be judged against site
@@ -356,11 +355,14 @@ let flush t =
     t.pending <- [];
     List.iter (process t) (List.stable_sort canonical_compare (List.rev pending))
 
+(* Bound on the per-request chains kept for violation reports. *)
+let chain_limit = 500_000
+
 let remember t (e : Event.t) =
   match e.Event.corr with
   | None -> ()
   | Some corr ->
-    if t.chain_count < t.chain_limit then begin
+    if t.chain_count < chain_limit then begin
       t.chain_count <- t.chain_count + 1;
       Hashtbl.replace t.by_corr corr
         (e :: Option.value (Hashtbl.find_opt t.by_corr corr) ~default:[])
@@ -374,11 +376,10 @@ let ingest t (e : Event.t) =
 
 (* --- Construction ------------------------------------------------------- *)
 
-let create ?oracle ?(propagation_window = 300.0) ?(chain_limit = 500_000) bus =
+let create ?oracle ?(propagation_window = 300.0) bus =
   let t =
     { oracle;
       propagation_window;
-      chain_limit;
       epochs = Hashtbl.create 8;
       revoked = Hashtbl.create 8;
       revoked_jti = Hashtbl.create 8;

@@ -63,7 +63,6 @@ type t
 val create :
   ?oracle:oracle ->
   ?propagation_window:float ->
-  ?chain_limit:int ->
   Event.bus ->
   t
 (** Subscribe a fresh monitor to the bus. [oracle] re-derives the policy
@@ -72,8 +71,8 @@ val create :
     [None] means "not my backend / unknown epoch"). The campaign driver
     injects it, keeping the monitor free of policy dependencies.
     [propagation_window] (default 300 s) is the grace period granted to
-    revocation propagation. [chain_limit] bounds retained per-request
-    chains. *)
+    revocation propagation. At most 500,000 events are kept for the
+    per-request chains that violation reports print. *)
 
 val flush : t -> unit
 (** Process the still-buffered final tick. Call once the run is over

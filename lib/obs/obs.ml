@@ -43,8 +43,6 @@ let enabled t = t.on
 let metrics t = t.metrics
 let tracer t = t.tracer
 let events t = t.events
-let now t = t.clock ()
-
 (* --- Wide events and correlation --------------------------------------- *)
 
 let emit t ?corr ~layer kind attrs =
@@ -101,9 +99,9 @@ let with_span t ?attrs name f =
       (fun () -> f span)
   end
 
-let start_span t ?parent ?attrs name =
+let start_span t ?attrs name =
   if not t.on then Span.null
-  else Span.start t.tracer ~at:(t.clock ()) ?parent ?attrs name
+  else Span.start t.tracer ~at:(t.clock ()) ?attrs name
 
 let finish_span t span =
   if t.on && not (span == Span.null) then begin

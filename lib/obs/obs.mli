@@ -37,7 +37,6 @@ val scoped : t -> (string * string) list -> t
 val enabled : t -> bool
 val metrics : t -> Metrics.t
 val tracer : t -> Span.t
-val now : t -> Grid_sim.Clock.time
 
 val events : t -> Event.bus
 (** The wide-event bus: the {!Monitor} and other consumers subscribe
@@ -78,7 +77,7 @@ val with_span : t -> ?attrs:(string * string) list -> string -> (Span.span -> 'a
 (** Run the callback inside a scoped span; on close, record its duration
     into [stage_seconds{stage=<name>}]. *)
 
-val start_span : t -> ?parent:Span.span -> ?attrs:(string * string) list -> string -> Span.span
+val start_span : t -> ?attrs:(string * string) list -> string -> Span.span
 (** Detached span (see {!Span.start}); close with {!finish_span}. *)
 
 val finish_span : t -> Span.span -> unit

@@ -68,11 +68,7 @@ let in_scope t span f =
       t.stack <- (match t.stack with s :: rest when s == span -> rest | stack -> stack))
     f
 
-let start t ~at ?parent ?attrs name =
-  let parent =
-    match parent with Some p -> Some p.id | None -> current_parent t
-  in
-  mk t ~at ~parent ?attrs name
+let start t ~at ?attrs name = mk t ~at ~parent:(current_parent t) ?attrs name
 
 let finish span ~at = if span.ended_at = None then span.ended_at <- Some at
 

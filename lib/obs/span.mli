@@ -54,9 +54,9 @@ val in_scope : t -> span -> (unit -> 'a) -> 'a
 
 (* {1 Detached spans} *)
 
-val start : t -> at:Grid_sim.Clock.time -> ?parent:span -> ?attrs:(string * string) list -> string -> span
-(** Start a span that is not pushed on the scope stack. [parent] defaults
-    to the innermost open span, if any. *)
+val start : t -> at:Grid_sim.Clock.time -> ?attrs:(string * string) list -> string -> span
+(** Start a span that is not pushed on the scope stack. Its parent is
+    the innermost open span, if any. *)
 
 val finish : span -> at:Grid_sim.Clock.time -> unit
 

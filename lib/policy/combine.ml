@@ -22,17 +22,15 @@ let decision_to_string = function
   | Deny { source; reason } ->
     Printf.sprintf "DENY by %s: %s" source (Eval.reason_to_string reason)
 
-let pp_decision ppf d = Fmt.string ppf (decision_to_string d)
-
 let is_permit = function Permit -> true | Deny _ -> false
 
 (* Conjunctive combination: every source must permit. Sources are checked
    in order and the first denial is reported. *)
-let evaluate ?obs (sources : source list) (request : Types.request) : combined_decision =
+let evaluate (sources : source list) (request : Types.request) : combined_decision =
   let rec go = function
     | [] -> Permit
     | s :: rest -> begin
-      match Eval.observed ?obs ~source:s.name s.policy request with
+      match Eval.evaluate s.policy request with
       | Eval.Permit -> go rest
       | Eval.Deny reason -> Deny { source = s.name; reason }
     end

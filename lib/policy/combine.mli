@@ -13,13 +13,11 @@ type combined_decision =
 val source : name:string -> Types.t -> source
 
 val decision_to_string : combined_decision -> string
-val pp_decision : combined_decision Fmt.t
 val is_permit : combined_decision -> bool
 
-val evaluate : ?obs:Grid_obs.Obs.t -> source list -> Types.request -> combined_decision
+val evaluate : source list -> Types.request -> combined_decision
 (** Permit iff every source permits; the first denial is reported. An empty
-    source list fails closed. When [obs] is given, each per-source
-    evaluation is spanned and counted (see {!Eval.observed}). *)
+    source list fails closed. *)
 
 val evaluate_all : source list -> Types.request -> (string * Eval.decision) list
 (** Per-source decisions, for explanation output. *)

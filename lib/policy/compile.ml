@@ -66,7 +66,6 @@ type cstatement = {
 }
 
 type t = {
-  policy : Types.t;
   epoch : int;
   n_attrs : int;
   action_id : int;
@@ -78,7 +77,6 @@ type t = {
   max_pattern : int; (* longest subject pattern, bounds prefix probing *)
 }
 
-let policy t = t.policy
 let epoch t = t.epoch
 
 (* --- Policy epoch ------------------------------------------------------ *)
@@ -191,8 +189,7 @@ let compile (policy : Types.t) : t =
       (fun acc (st : Types.statement) -> max acc (Grid_gsi.Dn.length st.subject_pattern))
       0 policy
   in
-  { policy;
-    epoch = fresh_epoch ();
+  { epoch = fresh_epoch ();
     n_attrs = Hashtbl.length ids;
     action_id;
     jobowner_id;
@@ -450,9 +447,6 @@ let eval_many (t : t) (requests : Types.request array) : Eval.decision array =
     results
   end
 
-let observed ?obs ?source t request =
-  Eval.observed_with ?obs ?source ~eval:(eval t) request
-
 (* --- Reloadable store -------------------------------------------------- *)
 
 module Store = struct
@@ -461,7 +455,7 @@ module Store = struct
   type t = { mutable current : compiled }
 
   let create policy = { current = compile policy }
-  let current s = s.current
+
   let epoch s = s.current.epoch
   let reload s policy = s.current <- compile policy
   let eval s request = eval s.current request

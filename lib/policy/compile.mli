@@ -16,9 +16,6 @@ type t
 val compile : Types.t -> t
 (** Compile and stamp with a fresh epoch. *)
 
-val policy : t -> Types.t
-(** The source policy, unchanged (e.g. for explanation paths). *)
-
 val epoch : t -> int
 
 val fresh_epoch : unit -> int
@@ -38,11 +35,6 @@ val eval_many : t -> Types.request array -> Eval.decision array
     rendering and index probe are shared per group, and one scratch view
     array serves the whole batch. *)
 
-val observed :
-  ?obs:Grid_obs.Obs.t -> ?source:string -> t -> Types.request -> Eval.decision
-(** {!eval} under the same span/counter instrumentation as
-    {!Eval.observed}. *)
-
 (** A mutable slot holding the current compilation of a reloadable
     policy; [reload] recompiles and therefore bumps the epoch. *)
 module Store : sig
@@ -51,7 +43,6 @@ module Store : sig
   type t
 
   val create : Types.t -> t
-  val current : t -> compiled
   val epoch : t -> int
   val reload : t -> Types.t -> unit
   val eval : t -> Types.request -> Eval.decision

@@ -44,8 +44,6 @@ let decision_to_string = function
   | Permit -> "PERMIT"
   | Deny r -> "DENY: " ^ reason_to_string r
 
-let pp_decision ppf d = Fmt.string ppf (decision_to_string d)
-
 let is_permit = function Permit -> true | Deny _ -> false
 
 (* ------------------------------------------------------------------ *)
@@ -330,6 +328,3 @@ let observed_many_with ?(obs = Grid_obs.Obs.noop) ?(source = "policy") ~eval_man
             ~labels:[ ("source", source); ("decision", "deny") ]
             "policy_eval_total";
         decisions)
-
-let observed ?obs ?source policy request =
-  observed_with ?obs ?source ~eval:(evaluate policy) request

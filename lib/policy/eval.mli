@@ -20,7 +20,6 @@ type decision =
 
 val reason_to_string : reason -> string
 val decision_to_string : decision -> string
-val pp_decision : decision Fmt.t
 val is_permit : decision -> bool
 
 (** The request's attribute view: attribute name to carried values.
@@ -71,9 +70,3 @@ val observed_many_with :
 (** Batched sibling of {!observed_with}: one ["policy.eval"] span for
     the whole batch, with [policy_eval_total{source,decision}] bulk
     incremented so counter totals match the per-request path. *)
-
-val observed :
-  ?obs:Grid_obs.Obs.t -> ?source:string -> Types.t -> Types.request -> decision
-(** [evaluate] wrapped in a ["policy.eval"] span and a
-    [policy_eval_total{source,decision}] counter increment. With the
-    default (disabled) observer it is exactly [evaluate]. *)

@@ -10,7 +10,6 @@
 
 type granted_clause = {
   statement_index : int;
-  subject_pattern : Grid_gsi.Dn.t;
   actions : Types.Action.t list; (* all actions when unconstrained *)
   clause : Types.clause;
 }
@@ -47,7 +46,6 @@ let grants_for (policy : Types.t) ~subject : granted_clause list =
            List.map
              (fun clause ->
                { statement_index;
-                 subject_pattern = st.Types.subject_pattern;
                  actions = actions_of_clause clause;
                  clause })
              st.Types.clauses)

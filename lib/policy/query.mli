@@ -3,7 +3,6 @@
 
 type granted_clause = {
   statement_index : int;
-  subject_pattern : Grid_gsi.Dn.t;
   actions : Types.Action.t list;
   clause : Types.clause;
 }

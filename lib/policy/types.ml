@@ -101,8 +101,6 @@ let statement_to_string st =
 
 let to_string policy = String.concat "\n" (List.map statement_to_string policy)
 
-let pp ppf policy = Fmt.string ppf (to_string policy)
-
 let statement_applies st ~subject = Grid_gsi.Dn.is_prefix st.subject_pattern subject
 
 (* The request a policy evaluation point judges. For [Start], [job] carries

@@ -7,7 +7,6 @@ module Action : sig
   val of_string : string -> t option
   val all : t list
   val equal : t -> t -> bool
-  val pp : t Fmt.t
 end
 
 type cvalue =
@@ -45,7 +44,6 @@ type statement = {
 type t = statement list
 
 val to_string : t -> string
-val pp : t Fmt.t
 
 val statement_applies : statement -> subject:Grid_gsi.Dn.t -> bool
 (** Subject-pattern prefix match. *)

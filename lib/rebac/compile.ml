@@ -176,10 +176,7 @@ let of_sources (sources : Combine.source list) : t =
   in
   { sources = plans; nodes; tuples = List.rev !tuples; rules }
 
-let of_policy ?(name = "policy") policy = of_sources [ Combine.source ~name policy ]
-
-let tuples t = t.tuples
-let tuple_count t = List.length t.tuples
+let of_policy policy = of_sources [ Combine.source ~name:"policy" policy ]
 
 let install t store =
   List.iter (fun (namespace, relation, rw) -> Store.set_rule store ~namespace ~relation rw)
@@ -212,9 +209,9 @@ let context_for t (subject : Grid_gsi.Dn.t) : Tuple.t list =
 
 exception Check_failed of Store.check_error
 
-let applies store ?budget ?consistency ~context (cs : compiled_statement) ~user =
+let applies store ?consistency ~context (cs : compiled_statement) ~user =
   match
-    Store.check ?budget ~context ?consistency store ~obj:cs.stmt_obj
+    Store.check ~context ?consistency store ~obj:cs.stmt_obj
       ~relation:applicable_rel ~user
   with
   | Ok b -> b
@@ -233,7 +230,7 @@ let requirement_violation ~subject view (clause : Types.clause) =
    checks; everything downstream of applicability is the same code
    shape, so decisions and reasons match the compiled RSL engine
    exactly. *)
-let decide_source store ?budget ?consistency t (sp : source_plan)
+let decide_source store ?consistency t (sp : source_plan)
     (request : Types.request) : Eval.decision =
   let subject = request.Types.subject in
   let view = Eval.View.of_request request in
@@ -242,7 +239,7 @@ let decide_source store ?budget ?consistency t (sp : source_plan)
   let applicable =
     List.filter_map
       (fun cs ->
-        if applies store ?budget ?consistency ~context cs ~user then Some cs.st else None)
+        if applies store ?consistency ~context cs ~user then Some cs.st else None)
       sp.statements
   in
   let violated =
@@ -276,14 +273,14 @@ let decide_source store ?budget ?consistency t (sp : source_plan)
 (* Mirrors [Combine.evaluate_compiled]: conjunctive, first denial wins,
    empty fails closed; per-source instrumentation under the same
    ["policy.eval"] span and [policy_eval_total] counter vocabulary. *)
-let decide ?obs ?budget ?consistency t store (request : Types.request) :
+let decide ?obs ?consistency t store (request : Types.request) :
     (Combine.combined_decision, Store.check_error) result =
   let rec go = function
     | [] -> Combine.Permit
     | sp :: rest -> begin
       match
         Eval.observed_with ?obs ~source:sp.name
-          ~eval:(fun req -> decide_source store ?budget ?consistency t sp req)
+          ~eval:(fun req -> decide_source store ?consistency t sp req)
           request
       with
       | Eval.Permit -> go rest

@@ -12,21 +12,14 @@ type t
 (** A compiled plan: statement objects, trie tuples, rewrite rules. *)
 
 val of_sources : Grid_policy.Combine.source list -> t
-val of_policy : ?name:string -> Grid_policy.Types.t -> t
-(** [name] defaults to ["policy"]. *)
-
-val tuples : t -> Tuple.t list
-val tuple_count : t -> int
-
-val install : t -> Store.t -> Zookie.t
-(** Set the plan's rewrite rules and write its tuples as one batch. *)
+val of_policy : Grid_policy.Types.t -> t
+(** One source, named ["policy"]. *)
 
 val load : ?epoch:int -> t -> Store.t
 (** A fresh store with the plan installed. *)
 
 val decide :
   ?obs:Grid_obs.Obs.t ->
-  ?budget:int ->
   ?consistency:Store.consistency ->
   t ->
   Store.t ->

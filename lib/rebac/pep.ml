@@ -26,10 +26,6 @@ type t = {
   interned : (Grid_policy.Combine.combined_decision, Grid_callout.Callout.decision) Hashtbl.t;
 }
 
-(* Registry coordinates, alongside libauthz_file / Akenti / CAS. *)
-let library = "librebac_authz.so"
-let symbol = "rebac_authz_callout"
-
 let note_epoch ?(kind = "reload") t =
   match t.obs with
   | None -> ()
@@ -84,16 +80,16 @@ let intern_decision t = function
       decision
   end
 
-let decide_request ?budget ?consistency t request =
-  match Compile.decide ?obs:t.obs ?budget ?consistency t.plan t.store request with
+let decide_request ?consistency t request =
+  match Compile.decide ?obs:t.obs ?consistency t.plan t.store request with
   | Ok decision -> intern_decision t decision
   | Error e ->
     Error
       (Grid_callout.Callout.System_error ("rebac: " ^ Store.check_error_to_string e))
 
-let callout_with ?budget ?consistency t : Grid_callout.Callout.t =
+let callout_with ?consistency t : Grid_callout.Callout.t =
  fun query ->
-  decide_request ?budget ?consistency t (Grid_callout.Callout.to_policy_request query)
+  decide_request ?consistency t (Grid_callout.Callout.to_policy_request query)
 
 (* The store is the single replica, so [Latest] already satisfies every
    issued token; a caller pinning [At_least z] or [Snapshot z] gets the

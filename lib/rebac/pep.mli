@@ -9,12 +9,6 @@
 
 type t
 
-val library : string
-(** ["librebac_authz.so"] — the {!Grid_callout.Registry} library name. *)
-
-val symbol : string
-(** ["rebac_authz_callout"]. *)
-
 val create : ?obs:Grid_obs.Obs.t -> Grid_policy.Combine.source list -> t
 val reload : t -> Grid_policy.Combine.source list -> unit
 
@@ -31,10 +25,9 @@ val head : t -> Zookie.t
 val callout : t -> Grid_callout.Callout.t
 (** Decisions at the head snapshot. *)
 
-val callout_with :
-  ?budget:int -> ?consistency:Store.consistency -> t -> Grid_callout.Callout.t
+val callout_with : ?consistency:Store.consistency -> t -> Grid_callout.Callout.t
 (** [consistency] pins decisions to a caller token ([At_least] /
-    [Snapshot]); [budget] overrides the expansion depth budget. *)
+    [Snapshot]). *)
 
 val batch : t -> Grid_callout.Callout.Batch.t
 (** Native batch lane at the head snapshot: structurally equal requests

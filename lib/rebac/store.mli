@@ -36,8 +36,6 @@ val head : t -> Zookie.t
 val set_rule : t -> namespace:string -> relation:string -> rewrite -> unit
 (** Relations with no explicit rule behave as {!This}. *)
 
-val rule : t -> namespace:string -> relation:string -> rewrite
-
 val write : t -> Tuple.t -> Zookie.t
 (** Idempotent on content, but always advances the revision. *)
 

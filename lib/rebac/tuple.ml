@@ -119,5 +119,3 @@ let of_string s =
 
 let equal a b =
   obj_equal a.obj b.obj && a.relation = b.relation && subject_equal a.subject b.subject
-
-let pp ppf t = Fmt.string ppf (to_string t)

@@ -58,5 +58,3 @@ let of_string s =
     | _ -> Error (Printf.sprintf "zookie %S: bad components" s)
   end
   | _ -> Error (Printf.sprintf "zookie %S: expected zk:<epoch>:<revision>:<digest>" s)
-
-let pp ppf t = Fmt.string ppf (to_string t)

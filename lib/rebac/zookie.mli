@@ -16,7 +16,6 @@ val make : epoch:int -> revision:int -> t
 val epoch : t -> int
 val revision : t -> int
 
-val compare : t -> t -> int
 val equal : t -> t -> bool
 
 val newer_than : t -> t -> bool
@@ -27,4 +26,3 @@ val to_string : t -> string
     detectable ({!of_string} rejects them). *)
 
 val of_string : string -> (t, string) result
-val pp : t Fmt.t

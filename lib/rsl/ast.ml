@@ -43,13 +43,6 @@ let op_to_string = function
 
 let normalize_attribute a = String.lowercase_ascii a
 
-let relation ?(op = Eq) attribute values =
-  if values = [] then invalid_arg "Ast.relation: a relation needs at least one value";
-  { attribute = normalize_attribute attribute; op; values }
-
-let literal_relation ?(op = Eq) attribute strings =
-  relation ~op attribute (List.map (fun s -> Literal s) strings)
-
 (* A value needs quoting when it contains RSL metacharacters. *)
 let needs_quoting s =
   s = ""
@@ -77,8 +70,6 @@ let to_string = function
   | Single c -> clause_to_string c
   | Multi cs ->
     "+" ^ String.concat "" (List.map (fun c -> "(" ^ clause_to_string c ^ ")") cs)
-
-let pp ppf t = Fmt.string ppf (to_string t)
 
 let value_equal a b =
   match (a, b) with

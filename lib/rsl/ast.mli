@@ -26,17 +26,11 @@ val op_to_string : op -> string
 
 val normalize_attribute : string -> string
 
-val relation : ?op:op -> string -> value list -> relation
-(** Raises [Invalid_argument] on an empty value list. *)
-
-val literal_relation : ?op:op -> string -> string list -> relation
-
 val needs_quoting : string -> bool
 (** True when a literal must be double-quoted to survive re-parsing. *)
 
 val clause_to_string : clause -> string
 val to_string : t -> string
-val pp : t Fmt.t
 
 val clause_equal : clause -> clause -> bool
 val equal : t -> t -> bool

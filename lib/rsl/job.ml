@@ -14,9 +14,6 @@ type t = {
   max_memory : int option;      (* megabytes *)
   queue : string option;
   jobtag : string option;
-  stdout : string option;
-  stderr : string option;
-  environment : (string * string) list;
 }
 
 type error =
@@ -36,8 +33,6 @@ let error_to_string = function
   | Unsupported_multirequest -> "multirequests are not supported by this job manager"
   | Unbound_variable v -> "unbound RSL variable: $(" ^ v ^ ")"
   | Bad_value { attribute; message } -> Printf.sprintf "attribute %s: %s" attribute message
-
-let pp_error ppf e = Fmt.string ppf (error_to_string e)
 
 let substitute_value env = function
   | Ast.Literal s -> Ok s
@@ -160,11 +155,13 @@ let of_clause ?(environment = []) (clause : Ast.clause) =
   let* max_memory = opt_int_attr environment clause "maxmemory" in
   let* queue = single_string environment clause "queue" in
   let* jobtag = single_string environment clause "jobtag" in
-  let* stdout = single_string environment clause "stdout" in
-  let* stderr = single_string environment clause "stderr" in
+  (* [stdout] and [stderr] are validated like the rest, though no
+     simulated job writes output. *)
+  let* _ = single_string environment clause "stdout" in
+  let* _ = single_string environment clause "stderr" in
   Ok
     { clause; executable; directory; arguments; count; max_wall_time; max_memory; queue;
-      jobtag; stdout; stderr; environment }
+      jobtag }
 
 let of_rsl ?environment (spec : Ast.t) =
   match spec with
@@ -178,8 +175,3 @@ let of_string ?environment input =
 
 let clause t = t.clause
 let to_string t = Ast.clause_to_string t.clause
-
-let pp ppf t =
-  Fmt.pf ppf "job{exe=%s; count=%d%a}" t.executable t.count
-    (Fmt.option (fun ppf tag -> Fmt.pf ppf "; jobtag=%s" tag))
-    t.jobtag

@@ -1,8 +1,9 @@
 (** Typed job description parsed from an RSL clause.
 
     Covers the standard GT2 attributes ([executable], [directory],
-    [arguments], [count], [maxwalltime], [maxmemory], [queue], [stdout],
-    [stderr]) and the paper's [jobtag] extension. *)
+    [arguments], [count], [maxwalltime], [maxmemory], [queue]; [stdout]
+    and [stderr] are validated but not kept) and the paper's [jobtag]
+    extension. *)
 
 type t = {
   clause : Ast.clause;
@@ -14,9 +15,6 @@ type t = {
   max_memory : int option;       (** megabytes *)
   queue : string option;
   jobtag : string option;
-  stdout : string option;
-  stderr : string option;
-  environment : (string * string) list;
 }
 
 type error =
@@ -28,10 +26,8 @@ type error =
   | Bad_value of { attribute : string; message : string }
 
 val error_to_string : error -> string
-val pp_error : error Fmt.t
 
 val of_string : ?environment:(string * string) list -> string -> (t, error) result
 
 val clause : t -> Ast.clause
 val to_string : t -> string
-val pp : t Fmt.t

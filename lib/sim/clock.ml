@@ -8,10 +8,7 @@ type time = float
 
 let zero = 0.0
 let add = ( +. )
-let compare = Float.compare
 let ( <= ) a b = Float.compare a b <= 0
-let pp ppf t = Fmt.pf ppf "t=%.3fs" t
-
 let minutes m = m *. 60.0
 let hours h = h *. 3600.0
 let days d = d *. 86400.0

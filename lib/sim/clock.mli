@@ -4,9 +4,7 @@ type time = float
 
 val zero : time
 val add : time -> time -> time
-val compare : time -> time -> int
 val ( <= ) : time -> time -> bool
-val pp : time Fmt.t
 
 val minutes : float -> time
 val hours : float -> time

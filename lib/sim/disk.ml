@@ -39,20 +39,15 @@ type file = {
 type t = {
   files : (string, file) Hashtbl.t;
   fault_rng : Grid_util.Rng.t;
-  mutable faults : Faults.profile;
+  faults : Faults.profile;
   mutable listeners : (event -> unit) list;
-  mutable crashes : int;
 }
 
 let create ?(faults = Faults.none) ?(seed = 4242) () =
   { files = Hashtbl.create 8;
     fault_rng = Grid_util.Rng.create ~seed;
     faults;
-    listeners = [];
-    crashes = 0 }
-
-let set_faults t profile = t.faults <- profile
-let faults t = t.faults
+    listeners = [] }
 
 let on_event t f = t.listeners <- f :: t.listeners
 let notify t event = List.iter (fun f -> f event) (List.rev t.listeners)
@@ -94,16 +89,10 @@ let read t ~file =
   | None -> None
   | Some f -> Some (Buffer.contents f.durable ^ Buffer.contents f.volatile)
 
-let durable t ~file =
-  match find t file with None -> None | Some f -> Some (Buffer.contents f.durable)
-
 let size t ~file =
   match find t file with
   | None -> 0
   | Some f -> Buffer.length f.durable + Buffer.length f.volatile
-
-let unsynced t ~file =
-  match find t file with None -> 0 | Some f -> Buffer.length f.volatile
 
 let exists t ~file = Hashtbl.mem t.files file
 let delete t ~file = Hashtbl.remove t.files file
@@ -136,7 +125,6 @@ let corrupt t ~file ~at =
     end
 
 let crash t =
-  t.crashes <- t.crashes + 1;
   (* Deterministic iteration order so the fault stream is consumed
      reproducibly regardless of hashtable layout. *)
   let names = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.files []) in
@@ -164,7 +152,3 @@ let crash t =
         end
       end)
     names
-
-let crashes t = t.crashes
-
-let files t = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.files [])

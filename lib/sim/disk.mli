@@ -24,8 +24,6 @@ module Faults : sig
     fsync_jitter : Clock.time;  (** extra latency ~ U[0, fsync_jitter) *)
   }
 
-  val none : profile
-
   val profile :
     ?torn_write:float ->
     ?fsync_latency:Clock.time ->
@@ -52,9 +50,6 @@ val create : ?faults:Faults.profile -> ?seed:int -> unit -> t
 (** Fault sampling draws from its own stream seeded by [seed], so the
     bytes written never influence which crash outcome is drawn. *)
 
-val set_faults : t -> Faults.profile -> unit
-val faults : t -> Faults.profile
-
 val on_event : t -> (event -> unit) -> unit
 
 (** {1 File operations} *)
@@ -70,14 +65,8 @@ val read : t -> file:string -> string option
 (** Durable content followed by the volatile tail — what a reader sees
     while the process is alive. [None] if the file does not exist. *)
 
-val durable : t -> file:string -> string option
-(** Only the durable region — what would survive a clean crash. *)
-
 val size : t -> file:string -> int
 (** Total bytes (durable + volatile); 0 for missing files. *)
-
-val unsynced : t -> file:string -> int
-(** Bytes in the volatile tail. *)
 
 val exists : t -> file:string -> bool
 val delete : t -> file:string -> unit
@@ -97,9 +86,6 @@ val corrupt : t -> file:string -> at:int -> unit
 (** Flip one durable byte in place: the bit-rot injector used by
     crash-safety tests. Out-of-range offsets are ignored. *)
 
-val files : t -> string list
-(** Sorted file names. *)
-
 (** {1 Crash} *)
 
 val crash : t -> unit
@@ -109,5 +95,3 @@ val crash : t -> unit
     vanishes (truncated tail). Durable bytes are never touched. *)
 
 (** {1 Counters} *)
-
-val crashes : t -> int

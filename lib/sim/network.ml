@@ -35,8 +35,6 @@ module Faults = struct
     if max_extra_delay < 0.0 then
       invalid_arg "Network.Faults: max_extra_delay must be non-negative";
     { drop; duplicate; delay_probability; max_extra_delay }
-
-  let is_none p = p = none
 end
 
 type fault_event =
@@ -71,13 +69,11 @@ let create ?(base_latency = 0.005) ?(jitter = 0.002) ?(seed = 7) ?(faults = Faul
     faults; partitions = Hashtbl.create 4; listeners = [];
     messages_sent = 0; messages_dropped = 0; messages_duplicated = 0; messages_delayed = 0 }
 
-
 let latency t =
   if t.jitter = 0.0 then t.base_latency
   else t.base_latency +. Grid_util.Rng.float t.rng t.jitter
 
 let set_faults t profile = t.faults <- profile
-let faults t = t.faults
 
 let partition t ~link = Hashtbl.replace t.partitions link ()
 let heal t ~link = Hashtbl.remove t.partitions link
@@ -147,4 +143,3 @@ let messages_sent t = t.messages_sent
 let messages_dropped t = t.messages_dropped
 let messages_duplicated t = t.messages_duplicated
 let messages_delayed t = t.messages_delayed
-let engine t = t.engine

@@ -31,7 +31,6 @@ module Faults : sig
   (** Build a profile, validating that probabilities lie in [0, 1].
       Raises [Invalid_argument] otherwise. *)
 
-  val is_none : profile -> bool
 end
 
 (** Fault events carry the link label of the affected message. *)
@@ -61,9 +60,6 @@ val send : ?link:string -> t -> (unit -> unit) -> unit
     (default ["default"]) names the hop for partition checks and fault
     events. *)
 
-val set_faults : t -> Faults.profile -> unit
-val faults : t -> Faults.profile
-
 val partition : t -> link:string -> unit
 (** Partition a link: every message sent on it is dropped until [heal]. *)
 
@@ -74,9 +70,6 @@ val on_fault : t -> (fault_event -> unit) -> unit
 (** Register a listener invoked synchronously on every injected fault, in
     registration order. Used to bridge fault events into [Grid_obs]. *)
 
-val script : t -> at:Clock.time -> Faults.profile -> unit
-(** Install a fault profile at a future simulation time. *)
-
 val apply_schedule : t -> (Clock.time * Faults.profile) list -> unit
 (** [apply_schedule t schedule] scripts every [(at, profile)] entry. *)
 
@@ -84,5 +77,3 @@ val messages_sent : t -> int
 val messages_dropped : t -> int
 val messages_duplicated : t -> int
 val messages_delayed : t -> int
-
-val engine : t -> Engine.t

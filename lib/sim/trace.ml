@@ -35,18 +35,11 @@ let record t ~at ~source ~target label =
 
 let entries t = List.rev t.entries
 
-let length t = t.length
-
 let pp_entry ppf e =
   Fmt.pf ppf "%8.3fs  %-14s -> %-14s  %s" e.at e.source e.target e.label
 
 let pp ppf t =
   Fmt.pf ppf "@[<v>%a@]" (Fmt.list pp_entry) (entries t)
-
-let find t ~label =
-  match Hashtbl.find_opt t.by_label label with
-  | Some (entries, _) -> List.rev !entries
-  | None -> []
 
 let count t ~label =
   match Hashtbl.find_opt t.by_label label with

@@ -19,14 +19,7 @@ val record : t -> at:Clock.time -> source:string -> target:string -> string -> u
 val entries : t -> entry list
 (** In chronological (recording) order. *)
 
-val length : t -> int
-(** Total entries recorded, O(1). *)
-
-val pp_entry : entry Fmt.t
 val pp : t Fmt.t
-
-val find : t -> label:string -> entry list
-(** Entries with this label, chronological; served from a per-label index. *)
 
 val count : t -> label:string -> int
 (** O(1). *)

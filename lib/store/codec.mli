@@ -6,9 +6,6 @@
     (first wins on lookup). Self-describing and greppable — `gridctl
     journal show` prints payloads verbatim. *)
 
-val escape : string -> string
-(** Percent-escape ['%'], ['\t'], ['\n'], ['\r'], ['='] and [',']. *)
-
 val encode : (string * string) list -> string
 val decode : string -> (string * string) list
 

@@ -11,7 +11,6 @@ let max_record_bytes = 16 * 1024 * 1024
 
 type sync_policy =
   | Every_append
-  | Every of int
   | Manual
 
 type t = {
@@ -19,17 +18,11 @@ type t = {
   file : string;
   sync_policy : sync_policy;
   mutable appends : int;
-  mutable unsynced_appends : int;
 }
 
 let create ?(sync = Every_append) ~disk ~file () =
-  (match sync with
-  | Every n when n <= 0 -> invalid_arg "Journal: sync interval must be positive"
-  | Every _ | Every_append | Manual -> ());
-  { disk; file; sync_policy = sync; appends = 0; unsynced_appends = 0 }
+  { disk; file; sync_policy = sync; appends = 0 }
 
-let disk t = t.disk
-let file t = t.file
 let appends t = t.appends
 let bytes t = Grid_sim.Disk.size t.disk ~file:t.file
 
@@ -47,9 +40,7 @@ let frame payload =
   Buffer.add_string buf payload;
   Buffer.contents buf
 
-let sync t =
-  ignore (Grid_sim.Disk.sync t.disk ~file:t.file);
-  t.unsynced_appends <- 0
+let sync t = ignore (Grid_sim.Disk.sync t.disk ~file:t.file)
 
 let append t payload =
   if String.length payload > max_record_bytes then
@@ -58,11 +49,7 @@ let append t payload =
          (String.length payload) max_record_bytes);
   Grid_sim.Disk.append t.disk ~file:t.file (frame payload);
   t.appends <- t.appends + 1;
-  t.unsynced_appends <- t.unsynced_appends + 1;
-  match t.sync_policy with
-  | Every_append -> sync t
-  | Every n -> if t.unsynced_appends >= n then sync t
-  | Manual -> ()
+  match t.sync_policy with Every_append -> sync t | Manual -> ()
 
 (* --- Replay ------------------------------------------------------------ *)
 

@@ -10,7 +10,6 @@
 
 type sync_policy =
   | Every_append  (** fsync after each record: nothing is ever lost *)
-  | Every of int  (** fsync every [n] records (and on {!sync}) *)
   | Manual  (** callers fsync explicitly; crashes may lose the tail *)
 
 type t
@@ -18,9 +17,6 @@ type t
 val create : ?sync:sync_policy -> disk:Grid_sim.Disk.t -> file:string -> unit -> t
 (** [sync] defaults to [Every_append]. Creating a journal never touches
     existing bytes — append continues after whatever is already there. *)
-
-val disk : t -> Grid_sim.Disk.t
-val file : t -> string
 
 val append : t -> string -> unit
 (** Frame, checksum and write one payload, fsyncing per the policy.

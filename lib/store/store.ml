@@ -45,7 +45,7 @@ let observe_disk ~obs disk =
           Grid_obs.Obs.incr obs ~labels:[ ("file", file) ] "store_corruptions_total";
           fault "corrupted" file [])
 
-let create ?(obs = Grid_obs.Obs.noop) ?sync ?snapshot_every ~disk ~name () =
+let create ?(obs = Grid_obs.Obs.noop) ?snapshot_every ~disk ~name () =
   (match snapshot_every with
   | Some n when n <= 0 -> invalid_arg "Store: snapshot_every must be positive"
   | Some _ | None -> ());
@@ -53,7 +53,7 @@ let create ?(obs = Grid_obs.Obs.noop) ?sync ?snapshot_every ~disk ~name () =
   { disk;
     name;
     obs;
-    journal = Journal.create ?sync ~disk ~file:(journal_file_of name) ();
+    journal = Journal.create ~disk ~file:(journal_file_of name) ();
     snapshot_every;
     snapshot_source = None;
     appends_since_snapshot = 0;
@@ -61,7 +61,6 @@ let create ?(obs = Grid_obs.Obs.noop) ?sync ?snapshot_every ~disk ~name () =
     snapshots_taken = 0 }
 
 let disk t = t.disk
-let name t = t.name
 let journal_file t = journal_file_of t.name
 let snapshot_file t = snapshot_file_of t.name
 let appends t = Journal.appends t.journal
@@ -126,7 +125,6 @@ let crash t = Grid_sim.Disk.crash t.disk
 type recovery = {
   snapshot_records : string list;
   journal_records : string list;
-  snapshot_seq : int;
   dropped_bytes : int;
   tmp_discarded : bool;
 }
@@ -161,7 +159,6 @@ let recover t =
   end;
   { snapshot_records;
     journal_records = jr.Journal.records;
-    snapshot_seq = seq;
     dropped_bytes = snap.Journal.dropped_bytes + jr.Journal.dropped_bytes;
     tmp_discarded }
 

@@ -20,7 +20,6 @@ type t
 
 val create :
   ?obs:Grid_obs.Obs.t ->
-  ?sync:Journal.sync_policy ->
   ?snapshot_every:int ->
   disk:Grid_sim.Disk.t ->
   name:string ->
@@ -28,10 +27,10 @@ val create :
   t
 (** [snapshot_every n] compacts after every [n] journal appends once a
     snapshot source is installed; omitted means journal-only (no
-    compaction). Raises [Invalid_argument] when [n <= 0]. *)
+    compaction). The journal fsyncs after every append. Raises
+    [Invalid_argument] when [n <= 0]. *)
 
 val disk : t -> Grid_sim.Disk.t
-val name : t -> string
 val journal_file : t -> string
 val snapshot_file : t -> string
 
@@ -60,7 +59,6 @@ val crash : t -> unit
 type recovery = {
   snapshot_records : string list;  (** state entries from the snapshot *)
   journal_records : string list;  (** events since that snapshot *)
-  snapshot_seq : int;  (** 0 when no snapshot existed *)
   dropped_bytes : int;  (** corrupt/torn tail bytes discarded, both files *)
   tmp_discarded : bool;  (** an unfinished snapshot attempt was removed *)
 }

@@ -6,10 +6,6 @@ module Obs = Grid_obs.Obs
 
 type clock = unit -> Grid_sim.Clock.time
 
-(* Registry coordinates, alongside libauthz_file / CAS / ReBAC. *)
-let library = "libsts_authz.so"
-let symbol = "sts_authz_callout"
-
 type checked =
   | Accepted of Token.t
   | Not_accepted of Callout.error

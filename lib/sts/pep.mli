@@ -15,12 +15,6 @@
 
 type clock = unit -> Grid_sim.Clock.time
 
-val library : string
-(** ["libsts_authz.so"] — the {!Grid_callout.Registry} library name. *)
-
-val symbol : string
-(** ["sts_authz_callout"]. *)
-
 val callout :
   ?obs:Grid_obs.Obs.t ->
   ?validator:Validator.t ->

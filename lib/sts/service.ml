@@ -27,40 +27,41 @@ let refresh_error_to_string = function
   | Renewal e -> Grid_gsi.Renewal.error_to_string e
   | Exchange e -> exchange_error_to_string e
 
-type issued = {
-  i_subject : Dn.t;
-  i_not_after : Grid_sim.Clock.time;
-}
-
 type t = {
   s_name : string;
   s_ttl : Grid_sim.Clock.time;
   s_mode : Validator.mode;
-  mutable relations : Trust.relation list;
-  mutable s_epoch : int;
+  relations : Trust.relation list;
   engine : Grid_sim.Engine.t;
   trust : Grid_gsi.Ca.Trust_store.store;
   obs : Obs.t;
   network : Grid_sim.Network.t;
   disk : Grid_sim.Disk.t;
-  push_window : Grid_sim.Clock.time;
-  poll_interval : Grid_sim.Clock.time;
   key : Grid_crypto.Keypair.t;
   escrow : Grid_gsi.Renewal.t;
-  (* jti -> grant, walked by subject-wide revocation and outstanding_not_after *)
-  issued : (string, issued) Hashtbl.t;
+  (* subject DN -> (jti, not_after) of every grant minted to it, newest
+     first: subject-wide revocation and outstanding_not_after read only
+     the subject's own grants *)
+  issued : (string, (string * Grid_sim.Clock.time) list) Hashtbl.t;
   revoked_jti : (string, Grid_sim.Clock.time) Hashtbl.t;
   revoked_subjects : (string, Grid_sim.Clock.time) Hashtbl.t;
   mutable crl_entries : Validator.entry list;  (* newest first *)
   mutable attached : Validator.t list;
-  mutable revocation_count : int;
   mutable counter : int;
   crl_file : string;
 }
 
+(* How long a push-mode revocation may take to reach the validators, and
+   how often pull-mode validators re-read the CRL. *)
+let push_window = 1.0
+let poll_interval = 60.0
+
+(* The trust relations are fixed at creation, so every token carries
+   the same relations epoch. *)
+let relations_epoch = 1
+
 let create ?(name = "sts") ?(default_ttl = 900.0) ?(mode = Validator.Short_ttl)
-    ?relations ?network ?disk ?(push_window = 1.0) ?(poll_interval = 60.0)
-    ~engine ~trust ~obs () =
+    ?relations ~engine ~trust ~obs () =
   if default_ttl <= 0.0 then
     invalid_arg "Service.create: default_ttl must be positive";
   let relations =
@@ -68,30 +69,17 @@ let create ?(name = "sts") ?(default_ttl = 900.0) ?(mode = Validator.Short_ttl)
     | Some rs -> rs
     | None -> [ Trust.relation ~max_ttl:default_ttl (name ^ "-default") ]
   in
-  let network =
-    match network with
-    | Some n -> n
-    | None -> Grid_sim.Network.create engine
-  in
-  let disk =
-    match disk with
-    | Some d -> d
-    | None -> Grid_sim.Disk.create ()
-  in
   let key = Grid_crypto.Keypair.generate ~seed_material:("sts|" ^ name) in
   Grid_crypto.Keypair.register key;
   { s_name = name;
     s_ttl = default_ttl;
     s_mode = mode;
     relations;
-    s_epoch = 1;
     engine;
     trust;
     obs;
-    network;
-    disk;
-    push_window;
-    poll_interval;
+    network = Grid_sim.Network.create engine;
+    disk = Grid_sim.Disk.create ();
     key;
     escrow = Grid_gsi.Renewal.create ~obs ();
     issued = Hashtbl.create 256;
@@ -99,30 +87,17 @@ let create ?(name = "sts") ?(default_ttl = 900.0) ?(mode = Validator.Short_ttl)
     revoked_subjects = Hashtbl.create 64;
     crl_entries = [];
     attached = [];
-    revocation_count = 0;
     counter = 0;
     crl_file = name ^ "-crl" }
 
-let name t = t.s_name
-let mode t = t.s_mode
 let public_key t = Grid_crypto.Keypair.public t.key
-let epoch t = t.s_epoch
 let default_ttl t = t.s_ttl
 
 let propagation_window t =
   match t.s_mode with
   | Validator.Short_ttl -> t.s_ttl
-  | Validator.Push -> t.push_window
-  | Validator.Pull -> t.poll_interval +. 1.0
-
-let reload t relations =
-  t.relations <- relations;
-  t.s_epoch <- t.s_epoch + 1;
-  Obs.incr t.obs ~labels:[ ("service", t.s_name) ] "sts_reloads_total";
-  Obs.emit t.obs ~layer:"sts" "sts.reload"
-    [ ("service", t.s_name);
-      ("epoch", string_of_int t.s_epoch);
-      ("relations", string_of_int (List.length relations)) ]
+  | Validator.Push -> push_window
+  | Validator.Pull -> poll_interval +. 1.0
 
 let next_counter t =
   t.counter <- t.counter + 1;
@@ -140,19 +115,21 @@ let mint t ~now ~issuer subject =
   match subject_revoked_at t subject with
   | Some _ -> Error (Subject_revoked subject)
   | None -> begin
-    match Trust.first_match t.relations ~issuer ~subject with
+    match Trust.first_match t.relations ~subject with
     | None -> Error (No_matching_relation { issuer; subject })
     | Some rel ->
       let ttl = Float.min t.s_ttl rel.Trust.max_ttl in
       let jti = Printf.sprintf "%s-jti-%d" t.s_name (next_counter t) in
       let token =
-        Token.make ~subject ~audience:rel.Trust.audience
-          ~entitlements:rel.Trust.entitlements ~jti ~epoch:t.s_epoch
+        Token.make ~subject ~audience:"*"
+          ~entitlements:rel.Trust.entitlements ~jti ~epoch:relations_epoch
           ~issued_at:now ~not_after:(now +. ttl)
           ~signing_key:(Grid_crypto.Keypair.secret t.key)
       in
-      Hashtbl.replace t.issued jti
-        { i_subject = subject; i_not_after = token.Token.not_after };
+      let key = Dn.to_string subject in
+      Hashtbl.replace t.issued key
+        ((jti, token.Token.not_after)
+         :: Option.value (Hashtbl.find_opt t.issued key) ~default:[]);
       Obs.incr t.obs
         ~labels:[ ("service", t.s_name); ("relation", rel.Trust.rel_name) ]
         "tokens_issued_total";
@@ -160,9 +137,9 @@ let mint t ~now ~issuer subject =
         [ ("service", t.s_name);
           ("jti", jti);
           ("subject", Dn.to_string subject);
-          ("audience", rel.Trust.audience);
+          ("audience", "*");
           ("relation", rel.Trust.rel_name);
-          ("epoch", string_of_int t.s_epoch);
+          ("epoch", string_of_int relations_epoch);
           ("not_after", Printf.sprintf "%.6f" token.Token.not_after) ];
       Ok token
   end
@@ -206,16 +183,15 @@ let proxy_with_token t ~now identity =
 
 (* Escrow *)
 
-let deposit t ~identity ~authorized_renewers ?max_proxy_lifetime ~now () =
-  Grid_gsi.Renewal.deposit t.escrow ~identity ~authorized_renewers
-    ?max_proxy_lifetime ~now ()
+let deposit t ~identity ~authorized_renewers ~now () =
+  Grid_gsi.Renewal.deposit t.escrow ~identity ~authorized_renewers ~now ()
 
-let refresh t ~now ?lifetime ~owner renewer_credential =
+let refresh t ~now ~owner renewer_credential =
   match subject_revoked_at t owner with
   | Some _ -> Error (Exchange (Subject_revoked owner))
   | None -> begin
     match
-      Grid_gsi.Renewal.renew t.escrow ~trust:t.trust ~now ?lifetime ~owner
+      Grid_gsi.Renewal.renew t.escrow ~trust:t.trust ~now ~owner
         renewer_credential
     with
     | Error e -> Error (Renewal e)
@@ -253,7 +229,6 @@ let record_revocation t ~now ~jti ~subject =
     { Validator.jti; subject = Dn.to_string subject; revoked_at = now }
   in
   t.crl_entries <- entry :: t.crl_entries;
-  t.revocation_count <- t.revocation_count + 1;
   Hashtbl.replace t.revoked_jti jti now;
   Obs.incr t.obs
     ~labels:[ ("service", t.s_name);
@@ -273,13 +248,9 @@ let revoke_subject t ~now subject =
     (* Every outstanding grant dies, plus a subject-wide entry so
        validators refuse tokens whose jti they never saw minted. *)
     let outstanding =
-      Hashtbl.fold
-        (fun jti grant acc ->
-          if Dn.equal grant.i_subject subject
-             && not (Hashtbl.mem t.revoked_jti jti)
-          then jti :: acc
-          else acc)
-        t.issued []
+      Option.value (Hashtbl.find_opt t.issued key) ~default:[]
+      |> List.filter_map (fun (jti, _) ->
+             if Hashtbl.mem t.revoked_jti jti then None else Some jti)
       |> List.sort String.compare
     in
     let entries =
@@ -297,23 +268,18 @@ let revoke_subject t ~now subject =
   end
 
 let outstanding_not_after t subject =
-  Hashtbl.fold
-    (fun _jti grant acc ->
-      if Dn.equal grant.i_subject subject then
-        match acc with
-        | None -> Some grant.i_not_after
-        | Some best -> Some (Float.max best grant.i_not_after)
-      else acc)
-    t.issued None
+  match Hashtbl.find_opt t.issued (Dn.to_string subject) with
+  | None | Some [] -> None
+  | Some ((_, first) :: rest) ->
+    Some (List.fold_left (fun best (_, not_after) -> Float.max best not_after) first rest)
 
 (* Validators *)
 
 let attach_validator t ?obs ~name () =
   let obs = match obs with Some o -> o | None -> t.obs in
   let v =
-    Validator.create ~mode:t.s_mode ~engine:t.engine ~obs ~token_ttl:t.s_ttl
-      ~push_window:t.push_window ~poll_interval:t.poll_interval
-      ~disk:t.disk ~crl_file:t.crl_file ~name ()
+    Validator.create ~mode:t.s_mode ~engine:t.engine ~obs ~poll_interval ~disk:t.disk
+      ~crl_file:t.crl_file ~name ()
   in
   t.attached <- v :: t.attached;
   (* A late joiner must not miss earlier revocations: seed push-mode
@@ -328,8 +294,6 @@ let attach_validator t ?obs ~name () =
   | Validator.Pull -> Validator.start v);
   v
 
-let validators t = t.attached
 let quiesce t = List.iter Validator.stop t.attached
 
-let revocations t = t.revocation_count
 let escrow_replacements t = Grid_gsi.Renewal.replacements t.escrow

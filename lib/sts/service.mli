@@ -39,10 +39,6 @@ val create :
   ?default_ttl:Grid_sim.Clock.time ->
   ?mode:Validator.mode ->
   ?relations:Trust.relation list ->
-  ?network:Grid_sim.Network.t ->
-  ?disk:Grid_sim.Disk.t ->
-  ?push_window:Grid_sim.Clock.time ->
-  ?poll_interval:Grid_sim.Clock.time ->
   engine:Grid_sim.Engine.t ->
   trust:Grid_gsi.Ca.Trust_store.store ->
   obs:Grid_obs.Obs.t ->
@@ -50,22 +46,16 @@ val create :
   t
 (** Defaults: name ["sts"], 900 s token TTL, [Short_ttl] mode, one
     permissive relation accepting any GSI identity the trust store
-    validates. [Push] mode creates its own network when none is given;
-    [Pull] mode its own disk. *)
+    validates. The service owns the network its [Push] revocations
+    travel (delivered within 1 s) and the disk its [Pull] CRL lives on
+    (polled every 60 s). *)
 
-val name : t -> string
-val mode : t -> Validator.mode
 val public_key : t -> Grid_crypto.Keypair.public
-val epoch : t -> int
 val default_ttl : t -> Grid_sim.Clock.time
 
 val propagation_window : t -> Grid_sim.Clock.time
 (** The enforcement bound of the configured mode — what attached
     validators promise and what the safety monitor should allow. *)
-
-val reload : t -> Trust.relation list -> unit
-(** Swap the trust relations and bump the epoch (stamped into every
-    token minted from then on). *)
 
 val fresh_challenge : t -> string
 (** A unique challenge for authenticating an exchange. *)
@@ -97,7 +87,6 @@ val deposit :
   t ->
   identity:Grid_gsi.Identity.t ->
   authorized_renewers:Grid_gsi.Dn.t list ->
-  ?max_proxy_lifetime:Grid_sim.Clock.time ->
   now:Grid_sim.Clock.time ->
   unit ->
   [ `Deposited | `Replaced ]
@@ -107,7 +96,6 @@ val deposit :
 val refresh :
   t ->
   now:Grid_sim.Clock.time ->
-  ?lifetime:Grid_sim.Clock.time ->
   owner:Grid_gsi.Dn.t ->
   Grid_gsi.Credential.t ->
   (Grid_gsi.Identity.t * Token.t, refresh_error) result
@@ -121,12 +109,10 @@ val revoke_subject : t -> now:Grid_sim.Clock.time -> Grid_gsi.Dn.t -> unit
 (** Revoke a subject: every outstanding token dies, future exchange and
     refresh refuse, and a subject-wide entry is distributed. *)
 
-val crl : t -> Validator.entry list
-(** Every revocation so far, oldest first — the pull snapshot's content. *)
-
 val outstanding_not_after : t -> Grid_gsi.Dn.t -> Grid_sim.Clock.time option
-(** Latest [not_after] among the subject's unexpired issued tokens — the
-    stateless mode's de-facto enforcement time for that subject. *)
+(** Latest [not_after] among every token issued to the subject, revoked
+    and expired ones included — the stateless mode's de-facto
+    enforcement time for that subject. Costs O(tokens of the subject). *)
 
 (** {1 Validators} *)
 
@@ -138,12 +124,9 @@ val attach_validator :
     validators hold no state. A late joiner is seeded with the
     revocations it missed. *)
 
-val validators : t -> Validator.t list
-
 val quiesce : t -> unit
 (** Stop every attached validator's poll loop so the engine can drain. *)
 
 (** {1 Introspection} *)
 
-val revocations : t -> int
 val escrow_replacements : t -> int

@@ -65,9 +65,6 @@ val encode : t -> string
 
 val decode : string -> (t, string) result
 
-val extension_oid : string
-(** ["sts-token"] — the proxy-certificate extension OID tokens ride in. *)
-
 val to_extension : t -> Grid_gsi.Cert.extension
 
 val find_in_credential : Grid_gsi.Credential.t -> (t, string) result option

@@ -50,7 +50,6 @@ type t = {
   mode : mode;
   engine : Grid_sim.Engine.t;
   obs : Grid_obs.Obs.t;
-  window : Grid_sim.Clock.time;
   poll_interval : Grid_sim.Clock.time;
   disk : Grid_sim.Disk.t option;
   crl_file : string;
@@ -58,37 +57,24 @@ type t = {
   revoked_subjects : (string, Grid_sim.Clock.time) Hashtbl.t;
   mutable hooks : (jti:string -> subject:string -> unit) list;
   mutable latencies : Grid_sim.Clock.time list;
-  mutable deliveries : int;
   mutable polling : bool;
 }
 
-let create ~mode ~engine ?(obs = Grid_obs.Obs.noop) ?(token_ttl = 900.0)
-    ?(push_window = 1.0) ?(poll_interval = 60.0) ?disk ?(crl_file = "sts-crl")
-    ~name () =
+let create ~mode ~engine ?(obs = Grid_obs.Obs.noop) ?(poll_interval = 60.0) ?disk
+    ?(crl_file = "sts-crl") ~name () =
   if mode = Pull && disk = None then
     invalid_arg "Validator.create: pull mode needs a disk to fetch the CRL from";
-  if token_ttl <= 0.0 || push_window <= 0.0 || poll_interval <= 0.0 then
-    invalid_arg "Validator.create: windows must be positive";
-  let window =
-    match mode with
-    | Short_ttl -> token_ttl
-    | Push -> push_window
-    | Pull -> poll_interval +. 1.0
-  in
-  { name; mode; engine; obs; window; poll_interval; disk; crl_file;
+  if poll_interval <= 0.0 then invalid_arg "Validator.create: poll_interval must be positive";
+  { name; mode; engine; obs; poll_interval; disk; crl_file;
     revoked_jti = Hashtbl.create 64;
     revoked_subjects = Hashtbl.create 64;
     hooks = [];
     latencies = [];
-    deliveries = 0;
     polling = false }
 
 let name t = t.name
-let mode t = t.mode
-let propagation_window t = t.window
 let on_revocation t f = t.hooks <- f :: t.hooks
 let entries t = Hashtbl.length t.revoked_jti + Hashtbl.length t.revoked_subjects
-let deliveries t = t.deliveries
 let enforcement_latencies t = t.latencies
 
 (* Hashtbl entry overhead (bucket slot, boxed float) on top of the key
@@ -138,7 +124,6 @@ let install t ~now e =
   end
 
 let deliver t ~now entries =
-  t.deliveries <- t.deliveries + 1;
   List.iter (install t ~now) entries;
   note_state t
 

@@ -46,25 +46,17 @@ val create :
   mode:mode ->
   engine:Grid_sim.Engine.t ->
   ?obs:Grid_obs.Obs.t ->
-  ?token_ttl:Grid_sim.Clock.time ->
-  ?push_window:Grid_sim.Clock.time ->
   ?poll_interval:Grid_sim.Clock.time ->
   ?disk:Grid_sim.Disk.t ->
   ?crl_file:string ->
   name:string ->
   unit ->
   t
-(** Defaults: 900 s [token_ttl] (the service default), 1 s [push_window],
-    60 s [poll_interval], CRL file ["sts-crl"]. [Pull] requires [disk];
+(** Defaults: 60 s [poll_interval], CRL file ["sts-crl"]. [Pull] requires [disk];
     raises [Invalid_argument] without one. Polling starts on the first
     {!install}/{!deliver}-independent {!start} call. *)
 
 val name : t -> string
-val mode : t -> mode
-
-val propagation_window : t -> Grid_sim.Clock.time
-(** The enforcement bound this mode promises: token TTL ([Short_ttl]),
-    push bound ([Push]), or poll interval + slack ([Pull]). *)
 
 val is_revoked : t -> jti:string -> subject:string -> bool
 (** Whether this validator currently refuses the grant. Always [false]
@@ -93,5 +85,3 @@ val state_bytes : t -> int
 val enforcement_latencies : t -> Grid_sim.Clock.time list
 (** Simulated seconds from each revocation to this validator applying
     it, newest first. Empty in [Short_ttl] mode. *)
-
-val deliveries : t -> int

@@ -19,7 +19,3 @@ let job () = fresh "job"
 let lease () = fresh "lease"
 let request () = fresh "req"
 let contact () = fresh "jmi"
-
-let pp = Fmt.string
-let equal = String.equal
-let compare = String.compare

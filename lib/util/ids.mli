@@ -24,7 +24,3 @@ val request : unit -> t
 
 val contact : unit -> t
 (** Fresh job-manager contact string (the GRAM "job contact"). *)
-
-val pp : t Fmt.t
-val equal : t -> t -> bool
-val compare : t -> t -> int

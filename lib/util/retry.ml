@@ -75,32 +75,23 @@ module Breaker = struct
   type t = {
     failure_threshold : int;
     cooldown : float;
-    on_transition : now:float -> state -> state -> unit;
     mutable current : state;
     mutable consecutive_failures : int;
     mutable opened_at : float;
   }
 
-  let create ?(failure_threshold = 3) ?(cooldown = 30.0)
-      ?(on_transition = fun ~now:_ _ _ -> ()) () =
+  let create ?(failure_threshold = 3) ?(cooldown = 30.0) () =
     if failure_threshold < 1 then
       invalid_arg "Breaker.create: failure_threshold must be >= 1";
     if cooldown < 0.0 then invalid_arg "Breaker.create: cooldown must be non-negative";
-    { failure_threshold; cooldown; on_transition; current = Closed;
+    { failure_threshold; cooldown; current = Closed;
       consecutive_failures = 0; opened_at = neg_infinity }
-
-  let transition t ~now target =
-    if t.current <> target then begin
-      let from = t.current in
-      t.current <- target;
-      t.on_transition ~now from target
-    end
 
   (* The Open -> Half_open transition is time-driven; compute it lazily on
      every query so no timer needs scheduling. *)
   let refresh t ~now =
     if t.current = Open && now >= t.opened_at +. t.cooldown then
-      transition t ~now Half_open
+      t.current <- Half_open
 
   let state t ~now =
     refresh t ~now;
@@ -113,7 +104,7 @@ module Breaker = struct
   let success t ~now =
     refresh t ~now;
     t.consecutive_failures <- 0;
-    if t.current = Half_open then transition t ~now Closed
+    if t.current = Half_open then t.current <- Closed
 
   let failure t ~now =
     refresh t ~now;
@@ -121,12 +112,12 @@ module Breaker = struct
     | Half_open ->
       (* The probe failed: back to Open for a fresh cooldown. *)
       t.opened_at <- now;
-      transition t ~now Open
+      t.current <- Open
     | Closed ->
       t.consecutive_failures <- t.consecutive_failures + 1;
       if t.consecutive_failures >= t.failure_threshold then begin
         t.opened_at <- now;
-        transition t ~now Open
+        t.current <- Open
       end
     | Open -> ()
 end

@@ -61,12 +61,10 @@ module Breaker : sig
   val create :
     ?failure_threshold:int ->
     ?cooldown:float ->
-    ?on_transition:(now:float -> state -> state -> unit) ->
     unit ->
     t
   (** Defaults: open after 3 consecutive failures, 30s cooldown before a
-      half-open probe is allowed. [on_transition] fires on every state
-      change with the old and new state. *)
+      half-open probe is allowed. *)
 
   val state : t -> now:float -> state
 

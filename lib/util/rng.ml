@@ -32,14 +32,3 @@ let pick t xs =
   match xs with
   | [] -> invalid_arg "Rng.pick: empty list"
   | _ -> List.nth xs (int t (List.length xs))
-
-let shuffle t xs =
-  let arr = Array.of_list xs in
-  let n = Array.length arr in
-  for i = n - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done;
-  Array.to_list arr

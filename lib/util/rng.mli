@@ -18,6 +18,3 @@ val bool : t -> bool
 
 val pick : t -> 'a list -> 'a
 (** Uniform choice. Raises [Invalid_argument] on the empty list. *)
-
-val shuffle : t -> 'a list -> 'a list
-(** Fisher-Yates shuffle. *)

@@ -14,8 +14,6 @@ let starts_with ~prefix s =
   let lp = String.length prefix in
   String.length s >= lp && String.sub s 0 lp = prefix
 
-let split_on_char c s = String.split_on_char c s
-
 let split_whitespace s =
   String.split_on_char ' ' (String.map (fun c -> if is_space c then ' ' else c) s)
   |> List.filter (fun t -> t <> "")

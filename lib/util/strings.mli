@@ -7,15 +7,11 @@ val strip : string -> string
 
 val starts_with : prefix:string -> string -> bool
 
-val split_on_char : char -> string -> string list
-
 val split_whitespace : string -> string list
 (** Split on runs of whitespace, dropping empty tokens. *)
 
 val strip_comment : string -> string
 (** Remove a ['#'] comment, respecting double-quoted regions. *)
-
-val lines : string -> string list
 
 val config_lines : string -> (int * string) list
 (** Lines of a config text that remain after comment/blank stripping, each

@@ -9,9 +9,6 @@
     decision-cache key builder uses the same scheme; the QCheck
     round-trip suites in [test_callout] and [test_cas] pin both. *)
 
-val add_part : Buffer.t -> string -> unit
-(** Append one length-prefixed part to a buffer. *)
-
 val encode : string list -> string
 (** Concatenated length-prefixed parts. Injective: distinct part lists
     (including lists differing only in how bytes split across parts)

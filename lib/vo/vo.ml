@@ -41,8 +41,6 @@ let add_member t ~dn ~groups =
 let remove_member t ~dn =
   t.members <- List.filter (fun m -> not (Grid_gsi.Dn.equal m.dn dn)) t.members
 
-let members t = t.members
-
 let is_member t dn = List.exists (fun m -> Grid_gsi.Dn.equal m.dn dn) t.members
 
 let groups_of t dn =
@@ -56,8 +54,6 @@ let add_profile t profile =
   if List.exists (fun p -> p.Profile.group = profile.Profile.group) t.profiles then
     invalid_arg ("Vo.add_profile: duplicate profile for group " ^ profile.Profile.group);
   t.profiles <- t.profiles @ [ profile ]
-
-let profiles t = t.profiles
 
 let register_jobtag t tag =
   if not (List.mem tag t.jobtags) then t.jobtags <- t.jobtags @ [ tag ]

@@ -18,15 +18,12 @@ val add_member : t -> dn:string -> groups:string list -> unit
 (** Raises [Invalid_argument] on duplicate membership. *)
 
 val remove_member : t -> dn:Grid_gsi.Dn.t -> unit
-val members : t -> member list
 val is_member : t -> Grid_gsi.Dn.t -> bool
 val groups_of : t -> Grid_gsi.Dn.t -> string list
 val in_group : t -> Grid_gsi.Dn.t -> string -> bool
 
 val add_profile : t -> Profile.t -> unit
 (** Raises [Invalid_argument] on a duplicate group profile. *)
-
-val profiles : t -> Profile.t list
 
 val register_jobtag : t -> string -> unit
 (** Statically register a jobtag (idempotent). *)
@@ -41,4 +38,3 @@ val compile_policy : t -> Grid_policy.Types.t
 (** Requirements first, then per-member grants from group profiles. *)
 
 val policy_source : t -> Grid_policy.Combine.source
-

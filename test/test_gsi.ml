@@ -328,7 +328,8 @@ let test_authn_handshake () =
   let ca = make_ca () in
   let trust = trust_of ca in
   let id = Identity.create ~ca ~now:0.0 "/O=Grid/CN=Peer" in
-  match Authn.handshake ~trust ~now:1.0 id with
+  let challenge = Authn.fresh_challenge () in
+  match Authn.authenticate ~trust ~now:1.0 ~challenge (Credential.of_identity id ~challenge) with
   | Ok ctx -> Alcotest.check dn "peer" (Identity.subject id) ctx.Authn.peer
   | Error e -> Alcotest.failf "unexpected: %s" (Authn.error_to_string e)
 

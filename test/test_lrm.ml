@@ -9,8 +9,8 @@ let make ?(nodes = 2) ?(cpus = 4) ?queues () =
   let lrm = Grid_lrm.Lrm.create ?queues ~nodes ~cpus_per_node:cpus engine in
   (engine, lrm)
 
-let spec ?(account = "user1") ?(cpus = 1) ?(duration = 10.0) ?walltime ?queue () =
-  { Grid_lrm.Lrm.account; cpus; duration; walltime_limit = walltime; queue }
+let spec ?(cpus = 1) ?(duration = 10.0) ?walltime ?queue () =
+  { Grid_lrm.Lrm.cpus; duration; walltime_limit = walltime; queue }
 
 let ok = function
   | Ok v -> v
@@ -246,8 +246,7 @@ let qcheck_no_oversubscription =
         let duration = Grid_util.Rng.float rng 50.0 in
         ignore
           (Grid_lrm.Lrm.submit lrm
-             { Grid_lrm.Lrm.account = "acct"; cpus; duration; walltime_limit = None;
-               queue = None })
+             { Grid_lrm.Lrm.cpus; duration; walltime_limit = None; queue = None })
       done;
       Engine.run engine;
       !ok && Grid_lrm.Lrm.invariant_holds lrm && Grid_lrm.Lrm.cpus_in_use lrm = 0)
@@ -267,8 +266,7 @@ let qcheck_all_jobs_terminate =
         let walltime = if Grid_util.Rng.bool rng then Some (Grid_util.Rng.float rng 25.0) else None in
         match
           Grid_lrm.Lrm.submit lrm
-            { Grid_lrm.Lrm.account = "acct"; cpus; duration; walltime_limit = walltime;
-              queue = None }
+            { Grid_lrm.Lrm.cpus; duration; walltime_limit = walltime; queue = None }
         with
         | Ok id -> ids := id :: !ids
         | Error _ -> ()

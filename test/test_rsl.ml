@@ -99,7 +99,11 @@ let test_parse_clause_exn_rejects_multi () =
 (* --- Printing ----------------------------------------------------------- *)
 
 let test_print_quotes_when_needed () =
-  let c = [ Ast.literal_relation "arguments" [ "simple"; "has space"; "" ] ] in
+  let c =
+    [ { Ast.attribute = "arguments";
+        op = Ast.Eq;
+        values = [ Ast.Literal "simple"; Ast.Literal "has space"; Ast.Literal "" ] } ]
+  in
   Alcotest.(check string) "printer quotes"
     {|&(arguments = simple "has space" "")|}
     (Ast.clause_to_string c)

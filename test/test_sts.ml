@@ -40,7 +40,7 @@ type world = {
   service : Service.t;
 }
 
-let setup ?default_ttl ?relations ?(mode = Validator.Short_ttl) () =
+let setup ?default_ttl ?relations ?(mode = Validator.Short_ttl) ?(obs = Grid_obs.Obs.noop) () =
   Grid_util.Ids.reset ();
   Grid_crypto.Keypair.reset_keystore ();
   let engine = Grid_sim.Engine.create () in
@@ -48,8 +48,7 @@ let setup ?default_ttl ?relations ?(mode = Validator.Short_ttl) () =
   let trust = Grid_gsi.Ca.Trust_store.create () in
   Grid_gsi.Ca.Trust_store.add trust (Grid_gsi.Ca.certificate ca);
   let service =
-    Service.create ~name:"test-sts" ?default_ttl ~mode ?relations ~engine ~trust
-      ~obs:Grid_obs.Obs.noop ()
+    Service.create ~name:"test-sts" ?default_ttl ~mode ?relations ~engine ~trust ~obs ()
   in
   { engine; trust; ca; service }
 
@@ -187,6 +186,44 @@ let test_exchange_revoked_subject_refused () =
   | Error (Service.Subject_revoked _) -> ()
   | Ok _ -> Alcotest.fail "revoked subject exchanged a new token"
   | Error e -> Alcotest.failf "wrong refusal: %s" (Service.exchange_error_to_string e)
+
+(* Revocation reads only the revoked subject's grants: the jtis it
+   revokes are exactly that subject's outstanding ones, in jti order, and
+   another subject's latest [not_after] is untouched. *)
+let test_revoke_subject_grants () =
+  let obs = Grid_obs.Obs.create () in
+  let revoked = ref [] in
+  Grid_obs.Event.subscribe (Grid_obs.Obs.events obs) (fun e ->
+      if e.Grid_obs.Event.kind = "token.revoked" then
+        revoked := Option.get (Grid_obs.Event.attr e "jti") :: !revoked);
+  let w = setup ~obs () in
+  let alice = identity w "Alice" and bob = identity w "Bob" in
+  let mint who now =
+    match Service.exchange w.service ~now (credential_of w who) with
+    | Ok token -> token.Token.jti
+    | Error e -> Alcotest.failf "exchange refused: %s" (Service.exchange_error_to_string e)
+  in
+  let a1 = mint alice 0.0 in
+  let b1 = mint bob 5.0 in
+  let a2 = mint alice 10.0 in
+  let b2 = mint bob 20.0 in
+  let alice_dn = Grid_gsi.Identity.subject alice in
+  let bob_dn = Grid_gsi.Identity.subject bob in
+  Service.revoke_subject w.service ~now:30.0 alice_dn;
+  Alcotest.(check (list string)) "alice's grants, then the subject-wide entry"
+    (List.sort String.compare [ a1; a2 ]
+    @ [ "subject-revocation:" ^ Grid_gsi.Dn.to_string alice_dn ])
+    (List.rev !revoked);
+  Alcotest.(check bool) "no bob grant revoked" false
+    (List.mem b1 !revoked || List.mem b2 !revoked);
+  let ttl = Service.default_ttl w.service in
+  Alcotest.(check (option (float 0.0))) "bob's latest not_after" (Some (20.0 +. ttl))
+    (Service.outstanding_not_after w.service bob_dn);
+  Alcotest.(check (option (float 0.0))) "alice's revoked grants still count"
+    (Some (10.0 +. ttl))
+    (Service.outstanding_not_after w.service alice_dn);
+  Alcotest.(check (option (float 0.0))) "unknown subject" None
+    (Service.outstanding_not_after w.service (dn "/O=Grid/CN=Nobody"))
 
 let test_refresh_through_escrow () =
   let w = setup () in
@@ -559,6 +596,8 @@ let () =
           Alcotest.test_case "relation matching" `Quick test_exchange_relation_matching;
           Alcotest.test_case "revoked subject refused" `Quick
             test_exchange_revoked_subject_refused;
+          Alcotest.test_case "revoke subject reads its own grants" `Quick
+            test_revoke_subject_grants;
           Alcotest.test_case "refresh through escrow" `Quick test_refresh_through_escrow;
           Alcotest.test_case "escrow replacement reported" `Quick
             test_escrow_replacement_reported ] );

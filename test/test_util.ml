@@ -57,12 +57,6 @@ let test_rng_pick () =
     Alcotest.(check bool) "picked member" true (List.mem v [ 1; 2; 3 ])
   done
 
-let test_rng_shuffle_permutation () =
-  let r = Rng.create ~seed:11 in
-  let xs = [ 1; 2; 3; 4; 5; 6; 7; 8 ] in
-  let ys = Rng.shuffle r xs in
-  Alcotest.(check (list int)) "same multiset" xs (List.sort compare ys)
-
 let test_strings_strip () =
   Alcotest.(check string) "strips both ends" "abc" (Strings.strip "  abc\t\n");
   Alcotest.(check string) "all space" "" (Strings.strip "   ");
@@ -90,13 +84,6 @@ let test_strings_config_lines () =
 let test_strings_split_whitespace () =
   Alcotest.(check (list string)) "mixed separators" [ "a"; "b"; "c" ]
     (Strings.split_whitespace " a\tb  \n c ")
-
-let qcheck_shuffle_preserves =
-  QCheck.Test.make ~name:"shuffle preserves elements" ~count:200
-    QCheck.(pair small_int (small_list int))
-    (fun (seed, xs) ->
-      let r = Rng.create ~seed in
-      List.sort compare (Rng.shuffle r xs) = List.sort compare xs)
 
 let qcheck_strip_idempotent =
   QCheck.Test.make ~name:"strip idempotent" ~count:500 QCheck.string (fun s ->
@@ -188,9 +175,7 @@ let () =
           Alcotest.test_case "seed sensitivity" `Quick test_rng_seed_sensitivity;
           Alcotest.test_case "bounds" `Quick test_rng_bounds;
           Alcotest.test_case "invalid bound" `Quick test_rng_invalid_bound;
-          Alcotest.test_case "pick" `Quick test_rng_pick;
-          Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
-          QCheck_alcotest.to_alcotest qcheck_shuffle_preserves ] );
+          Alcotest.test_case "pick" `Quick test_rng_pick ] );
       ( "strings",
         [ Alcotest.test_case "strip" `Quick test_strings_strip;
           Alcotest.test_case "starts_with" `Quick test_strings_starts_with;

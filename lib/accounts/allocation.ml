@@ -13,14 +13,12 @@
    outsourcing the fine-grained decisions to the VO safe. *)
 
 type account = {
-  party : string;
   budget : float; (* cpu-seconds *)
   mutable charged : float;
   mutable reserved : float;
 }
 
 type reservation = {
-  reservation_id : string;
   account : account;
   amount : float;
   mutable settled : bool;
@@ -47,7 +45,7 @@ let open_account t ~party ~budget =
   if budget < 0.0 then invalid_arg "Allocation.open_account: negative budget";
   if Hashtbl.mem t.accounts party then
     invalid_arg ("Allocation.open_account: duplicate party " ^ party);
-  Hashtbl.replace t.accounts party { party; budget; charged = 0.0; reserved = 0.0 }
+  Hashtbl.replace t.accounts party { budget; charged = 0.0; reserved = 0.0 }
 
 let available account = account.budget -. account.charged -. account.reserved
 
@@ -74,7 +72,7 @@ let reserve t ~party ~amount =
     else begin
       account.reserved <- account.reserved +. amount;
       Ok
-        { reservation_id = Grid_util.Ids.fresh "rsv"; account; amount; settled = false }
+        { account; amount; settled = false }
     end
 
 (* Settle against actual usage. Usage beyond the reservation is still

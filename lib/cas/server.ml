@@ -5,7 +5,6 @@
    applies to the user, and signs it into a capability. *)
 
 type t = {
-  name : string;
   vo : Grid_vo.Vo.t;
   keypair : Grid_crypto.Keypair.t;
   mutable capabilities_issued : int;
@@ -16,7 +15,7 @@ let capability_lifetime = Grid_sim.Clock.hours 8.0
 let create ~vo name =
   let keypair = Grid_crypto.Keypair.generate ~seed_material:("cas:" ^ name) in
   Grid_crypto.Keypair.register keypair;
-  { name; vo; keypair; capabilities_issued = 0 }
+  { vo; keypair; capabilities_issued = 0 }
 
 let public_key t = Grid_crypto.Keypair.public t.keypair
 let capabilities_issued t = t.capabilities_issued

@@ -10,14 +10,14 @@
    over RSA. *)
 
 type public = { key_id : string }
-type secret = { secret : string; public : public }
+type secret = { secret : string }
 
 type t = { sk : secret; pk : public }
 
 let generate ~seed_material =
   let secret = Sha256.digest ("keypair-secret:" ^ seed_material) in
   let public = { key_id = Sha256.digest_hex ("keypair-public:" ^ secret) } in
-  { sk = { secret; public }; pk = public }
+  { sk = { secret }; pk = public }
 
 let public t = t.pk
 let secret t = t.sk

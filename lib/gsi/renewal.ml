@@ -11,7 +11,6 @@ type deposit = {
   identity : Identity.t;                (* the escrowed credential *)
   authorized_renewers : Dn.t list;      (* who may draw proxies *)
   max_proxy_lifetime : Grid_sim.Clock.time;
-  deposited_at : Grid_sim.Clock.time;
 }
 
 type t = {
@@ -47,7 +46,7 @@ let deposit t ~(identity : Identity.t) ~authorized_renewers
   let owner = Dn.to_string (Identity.effective_subject identity) in
   let replaced = Hashtbl.mem t.deposits owner in
   Hashtbl.replace t.deposits owner
-    { identity; authorized_renewers; max_proxy_lifetime; deposited_at = now };
+    { identity; authorized_renewers; max_proxy_lifetime };
   if replaced then begin
     t.replacements <- t.replacements + 1;
     Grid_obs.Obs.incr t.obs "renewal_redeposits_total";

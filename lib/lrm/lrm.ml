@@ -19,7 +19,6 @@
    generation counter so suspend/cancel races cannot double-fire. *)
 
 type node = {
-  node_id : int;
   cpus : int;
   mutable free : int;
 }
@@ -65,7 +64,7 @@ type job = {
   mutable started_at : Grid_sim.Clock.time; (* of current run slice *)
   mutable allocation : (node * int) list;
   mutable generation : int;        (* invalidates stale completion events *)
-  mutable arrival : int;           (* FIFO tiebreak *)
+  arrival : int;           (* FIFO tiebreak *)
 }
 
 type event =
@@ -108,7 +107,7 @@ let create ?(obs = Grid_obs.Obs.noop) ?(queues = default_queues) ~nodes ~cpus_pe
   (match queues with [] -> invalid_arg "Lrm.create: no queues" | _ :: _ -> ());
   { engine;
     obs;
-    nodes = List.init nodes (fun i -> { node_id = i; cpus = cpus_per_node; free = cpus_per_node });
+    nodes = List.init nodes (fun _ -> { cpus = cpus_per_node; free = cpus_per_node });
     queues;
     default_queue = List.hd queues;
     jobs = Hashtbl.create 64;

@@ -45,7 +45,7 @@ type job = private {
   mutable started_at : Grid_sim.Clock.time;
   mutable allocation : (node * int) list;
   mutable generation : int;
-  mutable arrival : int;
+  arrival : int;
 }
 
 type event =

@@ -19,7 +19,7 @@ type t = {
   mutable require_jobtag_on_start : bool;
   (* Subject prefix covering all VO members, used for VO-wide
      requirements; None disables prefix-wide statements. *)
-  mutable member_prefix : Grid_gsi.Dn.t option;
+  member_prefix : Grid_gsi.Dn.t option;
 }
 
 let create ?member_prefix name =

@@ -820,7 +820,10 @@ let t16_authz_cache () =
   let cache =
     Callout.Cache.create ~capacity:4096 ~ttl:1e12 ~now:(fun () -> 0.0) ()
   in
-  let cached = Callout.Cache.with_cache cache compiled in
+  let cached =
+    Callout.Callout.Batch.check
+      (Callout.Cache.with_cache_many cache (Callout.Callout.Batch.of_callout compiled))
+  in
   let user i = Gsi.Dn.parse (Printf.sprintf "/O=Grid/O=Synth/CN=user%04d" i) in
   let query ?(i = n - 1) ?(action = Policy.Types.Action.Information) ?(job = 0) () =
     Callout.Callout.Query.make ~requester:(user i)
@@ -1061,13 +1064,14 @@ let t19_rebac () =
   let policy = Policy.Parse.parse (String.concat "\n" statements) in
   let sources = [ Policy.Combine.source ~name:"synthetic" policy ] in
   let rebac_pep = Rebac.Pep.create sources in
-  let rebac = Rebac.Pep.callout rebac_pep in
+  let rebac = Callout.Callout.Batch.check (Rebac.Pep.batch rebac_pep) in
   let flat = Callout.File_pep.of_sources sources in
   let make_cached ?epoch ?revision pep =
-    Callout.Cache.with_cache
-      (Callout.Cache.create ~capacity:4096 ~ttl:1e12 ?epoch ?revision
-         ~now:(fun () -> 0.0) ())
-      pep
+    Callout.Callout.Batch.check
+      (Callout.Cache.with_cache_many
+         (Callout.Cache.create ~capacity:4096 ~ttl:1e12 ?epoch ?revision
+            ~now:(fun () -> 0.0) ())
+         (Callout.Callout.Batch.of_callout pep))
   in
   let rebac_cached =
     make_cached

@@ -32,17 +32,16 @@ let run ~sabotage =
   let sources =
     [ Policy.Combine.source ~name:"demo" (Policy.Parse.parse policy_text) ]
   in
-  let pep = Callout.File_pep.Compiled.create ~obs sources in
+  let pep = Callout.File_pep.Compiled.(batch (create ~obs sources)) in
   let callout q =
-    match Callout.File_pep.Compiled.callout pep q with
+    match Callout.Callout.Batch.check pep q with
     | Error (Callout.Callout.Denied _) when sabotage -> Ok ()
     | decision -> decision
   in
 
-  (* The monitor needs a policy oracle to judge permits: here it simply
-     re-asks the same compiled policy (an independent copy in a real
-     deployment; the soak campaigns keep one per epoch). *)
-  let compiled = Policy.Combine.compile_sources sources in
+  (* The monitor needs a policy oracle to judge permits: here the
+     uncompiled reference evaluator over the same sources, independent of
+     the PEP's compiled index (the soak campaigns keep one per epoch). *)
   let oracle (e : Obs.Event.t) =
     match
       ( Obs.Event.attr e "subject",
@@ -56,7 +55,7 @@ let run ~sabotage =
           jobowner = Option.map Gsi.Dn.parse (Obs.Event.attr e "jobowner");
           jobtag = Obs.Event.attr e "jobtag" }
       in
-      Some (Policy.Combine.is_permit (Policy.Combine.evaluate_compiled compiled request))
+      Some (Policy.Combine.is_permit (Policy.Combine.evaluate sources request))
     | _ -> None
   in
   let monitor = Obs.Monitor.create ~oracle (Obs.Obs.events obs) in

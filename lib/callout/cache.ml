@@ -13,10 +13,7 @@
      - Only definite answers are cached: [Ok ()] and [Denied]. A
        [System_error]/[Bad_configuration] is a statement about the
        authorization system's health, not about policy, and must be
-       re-tried at the backend every time. For the same reason the
-       fail-open degradation combinator must wrap *outside* the cache —
-       composed that way, a degraded permit is a conversion applied to an
-       uncached error and can never be stored.
+       re-tried at the backend every time.
 
      - An expired (or not-yet-valid) requester credential bypasses the
        cache entirely: the authentication layer owns that refusal, and a
@@ -201,6 +198,17 @@ let credential_deadline (cred : Grid_gsi.Credential.t) =
 
 (* --- The combinator ---------------------------------------------------- *)
 
+(* Why a query skips the cache, if it does. An expired (or not yet
+   valid) requester credential: the cache neither answers for it nor
+   learns from it — the backend stack produces the authoritative result.
+   A revoked-but-unexpired one: a permit cached before the revocation
+   must not answer for it, and nothing learned now may outlive the next
+   CRL read — so, like expiry, the backend stack owns the refusal. *)
+let bypass_reason t ~now = function
+  | Some cred when not (credential_live ~now cred) -> Some "credential_expired"
+  | Some cred when t.revoked cred -> Some "credential_revoked"
+  | Some _ | None -> None
+
 let cacheable : Callout.decision -> bool = function
   | Ok () | Error (Callout.Denied _) -> true
   | Error (Callout.System_error _ | Callout.Bad_configuration _) -> false
@@ -266,71 +274,28 @@ let store t ~now ~credential key decision =
     end
   end
 
-let with_cache t ?(scope = "authz") (backend : Callout.t) : Callout.t =
- fun q ->
-  let now = t.now () in
-  let epoch = match t.epoch with None -> 0 | Some f -> f () in
-  (* Revision (tuple-store writes under the ReBAC PEP) participates in
-     the key but does not flush: unlike an epoch bump — a wholesale
-     policy replacement — a revision bump invalidates no *other*
-     revision's entries, it just stops them being probed; the LRU ages
-     them out. *)
-  let revision = Option.map (fun f -> f ()) t.revision in
-  flush_on_epoch t epoch;
-  match q.Callout.requester_credential with
-  | Some cred when not (credential_live ~now cred) ->
-    (* Expired requester credential: the cache neither answers for it nor
-       learns from it — the backend stack produces the authoritative
-       result. *)
-    t.bypasses <- t.bypasses + 1;
-    Grid_obs.Obs.incr t.obs "authz_cache_bypass_total";
-    Grid_obs.Obs.emit t.obs ~layer:"cache" "cache.bypass"
-      [ ("scope", scope); ("reason", "credential_expired") ];
-    backend q
-  | Some cred when t.revoked cred ->
-    (* Revoked-but-unexpired credential: a permit cached before the
-       revocation must not answer for it, and nothing learned now may
-       outlive the next CRL read — so, like expiry, the backend stack
-       owns the refusal. *)
-    t.bypasses <- t.bypasses + 1;
-    Grid_obs.Obs.incr t.obs "authz_cache_bypass_total";
-    Grid_obs.Obs.emit t.obs ~layer:"cache" "cache.bypass"
-      [ ("scope", scope); ("reason", "credential_revoked") ];
-    backend q
-  | credential -> begin
-    let key = query_key ~scope ~epoch ?revision q in
-    match probe t ~now key with
-    | Some node -> serve_hit t ~scope ~epoch node
-    | None ->
-      t.misses <- t.misses + 1;
-      Grid_obs.Obs.incr t.obs "authz_cache_misses_total";
-      Grid_obs.Obs.emit t.obs ~layer:"cache" "cache.miss"
-        [ ("scope", scope); ("epoch", string_of_int epoch) ];
-      let decision = backend q in
-      store t ~now ~credential key decision;
-      decision
-  end
-
-(* --- Batched lookup ----------------------------------------------------- *)
-
-(* One cache pass for a whole batch. The many lane classifies every
-   query in one sweep — live credential + table hit is served on the
-   spot; expired-credential bypasses and cache misses are collected into
-   a single sub-batch for the backend's many lane, with within-batch
-   duplicate keys collapsed onto one representative ask (a batch is one
-   simulated instant: the sequential single-shot path would have served
-   the duplicates from the entry the representative just stored, so
-   collapsing answers identically for cacheable results and spares a
-   failing backend the hammering for non-cacheable ones). Bypasses are
-   never stored; representative answers are stored under the
-   representative's credential deadline, exactly as single-shot. Answers
-   scatter back by original index, so batch order is preserved. *)
+(* One cache pass for a whole batch; a single query is a batch of one.
+   The pass classifies every query in one sweep — live credential +
+   table hit is served on the spot; credential bypasses and cache misses
+   are collected into a single sub-batch for the backend's many lane,
+   with within-batch duplicate keys collapsed onto one representative
+   ask (a batch is one simulated instant: asked one by one, the
+   duplicates would have been served from the entry the representative
+   just stored, so collapsing answers identically for cacheable results
+   and spares a failing backend the hammering for non-cacheable ones).
+   Bypasses are never stored; representative answers are stored under
+   the representative's credential deadline. Answers scatter back by
+   original index, so batch order is preserved. *)
 let with_cache_many t ?(scope = "authz") (backend : Callout.Batch.t) : Callout.Batch.t =
-  let single = with_cache t ~scope (Callout.Batch.callout backend) in
   let many (qs : Callout.query array) =
     let n = Array.length qs in
     let now = t.now () in
     let epoch = match t.epoch with None -> 0 | Some f -> f () in
+    (* Revision (tuple-store writes under the ReBAC PEP) participates in
+       the key but does not flush: unlike an epoch bump — a wholesale
+       policy replacement — a revision bump invalidates no *other*
+       revision's entries, it just stops them being probed; the LRU ages
+       them out. *)
     let revision = Option.map (fun f -> f ()) t.revision in
     flush_on_epoch t epoch;
     let results = Array.make n Callout.permitted in
@@ -339,26 +304,20 @@ let with_cache_many t ?(scope = "authz") (backend : Callout.Batch.t) : Callout.B
        [None] marks a credential bypass). *)
     let sub = ref [] in
     let sub_count = ref 0 in
-    let rep_slot : (string, int) Hashtbl.t = Hashtbl.create 16 in
+    let rep_slot : (string, int) Hashtbl.t = Hashtbl.create (min n 16) in
     let dups = ref [] in
     let bypasses = ref 0 in
     let misses = ref 0 in
     for i = 0 to n - 1 do
       let q = qs.(i) in
-      match q.Callout.requester_credential with
-      | Some cred when not (credential_live ~now cred) ->
+      match bypass_reason t ~now q.Callout.requester_credential with
+      | Some reason ->
         incr bypasses;
         Grid_obs.Obs.emit t.obs ~layer:"cache" "cache.bypass"
-          [ ("scope", scope); ("reason", "credential_expired") ];
+          [ ("scope", scope); ("reason", reason) ];
         sub := (i, None) :: !sub;
         incr sub_count
-      | Some cred when t.revoked cred ->
-        incr bypasses;
-        Grid_obs.Obs.emit t.obs ~layer:"cache" "cache.bypass"
-          [ ("scope", scope); ("reason", "credential_revoked") ];
-        sub := (i, None) :: !sub;
-        incr sub_count
-      | _ -> begin
+      | None -> begin
         let key = query_key ~scope ~epoch ?revision q in
         match probe t ~now key with
         | Some node -> results.(i) <- serve_hit t ~scope ~epoch node
@@ -412,7 +371,7 @@ let with_cache_many t ?(scope = "authz") (backend : Callout.Batch.t) : Callout.B
     end;
     results
   in
-  Callout.Batch.make ~single ~many
+  Callout.Batch.of_many many
 
 let pp ppf t =
   let lookups = t.hits + t.misses in

@@ -3,12 +3,11 @@
     Keyed on [(scope, policy epoch, requester DN, action, job id, jobtag,
     jobowner, RSL fingerprint)] with a simulated-time TTL. Only definite
     answers — [Ok ()] and [Denied] — are cached; [System_error] and
-    [Bad_configuration] always reach the backend, and the fail-open
-    degradation combinator must be composed {e outside} {!with_cache} so a
-    degraded permit is never stored. A policy reload bumps the epoch
-    ({!Grid_policy.Compile}), which both orphans old keys and flushes the
-    table; an expired requester credential bypasses the cache entirely,
-    and entries never outlive the credential chain that earned them.
+    [Bad_configuration] always reach the backend. A policy reload bumps
+    the epoch ({!Grid_policy.Compile}), which both orphans old keys and
+    flushes the table; an expired requester credential bypasses the cache
+    entirely, and entries never outlive the credential chain that earned
+    them.
 
     Counters: [authz_cache_hits_total], [authz_cache_misses_total],
     [authz_cache_evictions_total], [authz_cache_invalidations_total],
@@ -44,21 +43,19 @@ val create :
     cache. [now] is typically the engine clock. Raises
     [Invalid_argument] on non-positive capacity or ttl. *)
 
-val with_cache : t -> ?scope:string -> Callout.t -> Callout.t
+val with_cache_many : t -> ?scope:string -> Callout.Batch.t -> Callout.Batch.t
 (** Memoize a callout through the cache. [scope] (default ["authz"])
     partitions the key space when one cache serves several callouts
     backed by different policy (e.g. the gatekeeper PEP and the job
-    manager's mode callout). *)
-
-val with_cache_many : t -> ?scope:string -> Callout.Batch.t -> Callout.Batch.t
-(** Batched sibling of {!with_cache}: the single lane is exactly
-    [with_cache t ~scope]; the many lane classifies the whole batch in
-    one sweep — hits served from the table, credential bypasses and
-    (representative) misses shipped to the backend's many lane as one
-    sub-batch, within-batch duplicate keys collapsed onto one backend
-    ask and answered like the cache hits they would have been
-    sequentially. Answers come back in request order; bypassed queries
-    are never stored. *)
+    manager's mode callout). The lane is written once, for a batch
+    ({!Callout.Batch.of_many}; a single query is a batch of one): it
+    classifies the whole batch in one sweep — hits served from the
+    table, credential bypasses and (representative) misses shipped to
+    the backend's many lane as one sub-batch, within-batch duplicate
+    keys collapsed onto one backend ask and answered like the cache hits
+    they would have been had the queries come one by one. Answers come
+    back in request order; bypassed queries are never stored. A plain
+    callout enters through {!Callout.Batch.of_callout}. *)
 
 val invalidate : t -> unit
 (** Drop every entry, counting them as invalidations. *)

@@ -126,17 +126,19 @@ let counting (c : t) : t * (unit -> int) =
 (* --- Batched decisions ------------------------------------------------- *)
 
 (* The batch decision API. A [Batch.t] carries two lanes over the same
-   policy: the single-shot callout every existing integration keeps
-   using, and [evaluate_many], which answers a whole query array in one
-   call so a backend can amortize — sort by subject for index locality,
-   dedupe policy-identical questions, reuse evaluation scratch state —
-   where the single-shot path pays per decision.
+   policy: [check], the single-shot callout the start path and every
+   per-request integration use, and [evaluate_many], which answers a
+   whole query array in one call so a backend can amortize — sort by
+   subject for index locality, dedupe policy-identical questions, reuse
+   evaluation scratch state.
 
-   Contract: [evaluate_many b qs] answers element-wise exactly what
-   [Array.map (callout b) qs] would (decision and reason), and
-   [results.(i)] always answers [qs.(i)] — internal partitioning or
-   reordering never leaks into the returned array. The QCheck suite in
-   [test_batch] holds every backend to both properties. *)
+   A layer writes one lane and derives the other, so the two cannot
+   drift: the PEPs, the decision cache and the token gate write the many
+   lane ([of_many], a single query is a batch of one); a plain callout
+   writes the single lane ([of_callout]). [results.(i)] always answers
+   [qs.(i)] — internal partitioning or reordering never leaks into the
+   returned array; the QCheck suite in [test_batch] holds every backend
+   to that and to the uncompiled reference evaluator. *)
 module Batch = struct
   type callout = t
 
@@ -145,15 +147,12 @@ module Batch = struct
     many : query array -> decision array;
   }
 
-  (* A native batch implementation: [many] must agree element-wise with
-     [single]. *)
   let make ~single ~many = { single; many }
 
-  (* The derived fallback: any plain callout becomes a batch by mapping
-     the single-shot path — no amortization, full compatibility. *)
+  let of_many many = { single = (fun q -> (many [| q |]).(0)); many }
+
   let of_callout (c : callout) = { single = c; many = (fun qs -> Array.map c qs) }
 
-  let callout b = b.single
   let check b q = b.single q
   let evaluate_many b qs = if Array.length qs = 0 then [||] else b.many qs
 end
@@ -175,73 +174,6 @@ let outcome_index : decision -> int = function
   | Error (Bad_configuration _) -> 3
 
 let outcome_label (d : decision) : string = outcome_labels.(outcome_index d)
-
-(* --- Resilience combinators ------------------------------------------ *)
-
-(* The callout runs synchronously inside one simulation event, so a
-   "timeout" is modelled by sampling the backend's would-be latency and
-   comparing it against the budget: a slow backend yields System_error
-   without the caller ever blocking. *)
-let with_timeout ~budget ~latency (c : t) : t =
- fun q ->
-  let sampled = latency () in
-  if sampled > budget then
-    Error
-      (System_error
-         (Printf.sprintf "authorization callout timed out (%.3fs > %.3fs budget)" sampled
-            budget))
-  else c q
-
-(* Retry transient backend failures. Only [System_error] is retried:
-   [Denied] is a definite answer and [Bad_configuration] will not heal by
-   itself. Retries happen within the same simulation instant (the JMI
-   blocks on the callout), so only the attempt count of [policy] matters
-   here — backoff pacing applies to the networked client path. *)
-let with_retry ?(policy = Grid_util.Retry.default) (c : t) : t =
- fun q ->
-  let rec go attempt =
-    match c q with
-    | Error (System_error _) when attempt < policy.Grid_util.Retry.max_attempts ->
-      go (attempt + 1)
-    | decision -> decision
-  in
-  go 1
-
-(* A circuit breaker in front of a callout: while open, answer
-   System_error immediately instead of hammering a failing backend.
-   Denials count as backend-healthy responses — the policy engine
-   answered, it just said no. *)
-let with_breaker ~breaker ~now (c : t) : t =
- fun q ->
-  if not (Grid_util.Retry.Breaker.allow breaker ~now:(now ())) then
-    Error (System_error "authorization backend circuit open")
-  else begin
-    let decision = c q in
-    (match decision with
-    | Ok () | Error (Denied _) -> Grid_util.Retry.Breaker.success breaker ~now:(now ())
-    | Error (System_error _ | Bad_configuration _) ->
-      Grid_util.Retry.Breaker.failure breaker ~now:(now ()));
-    decision
-  end
-
-type degradation =
-  | Fail_open
-  | Fail_closed
-
-(* Explicit degradation policy for backend outages. Only infrastructure
-   failures (System_error / Bad_configuration) are degradable — a Denied
-   is a policy answer and is never overridden. The default everywhere is
-   Fail_closed, preserving the paper's default-deny stance: an
-   unreachable authorization service must not grant access. Fail_open is
-   for callers who decide availability beats enforcement on some
-   non-critical decision point. *)
-let degrade mode (c : t) : t =
- fun q ->
-  match c q with
-  | Ok () -> Ok ()
-  | Error (Denied _) as denial -> denial
-  | Error (System_error _ | Bad_configuration _) as outage -> (
-    match mode with Fail_open -> Ok () | Fail_closed -> outage)
 
 (* Deterministic fault injector for chaos tests: fail with System_error at
    the given probability, sampling from the caller's seeded stream. *)
@@ -341,7 +273,7 @@ let instrument ?(backend = "pep") ?epoch ~obs (c : t) : t =
 let instrument_batch ?(backend = "pep") ?epoch ~obs (b : Batch.t) : Batch.t =
   if not (Grid_obs.Obs.enabled obs) then b
   else begin
-    let single = instrument ~backend ?epoch ~obs (Batch.callout b) in
+    let single = instrument ~backend ?epoch ~obs b.Batch.single in
     let labels = decision_label_table ~backend in
     let many qs =
       let n = Array.length qs in

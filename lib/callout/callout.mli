@@ -75,14 +75,15 @@ val failing : message:string -> t
 val counting : t -> t * (unit -> int)
 (** Wrap a callout with an invocation counter. *)
 
-(** Batched decisions: a two-lane callout whose [many] lane answers a
-    whole [query array] in one call, with the contract that
-    [evaluate_many b qs] is element-wise equal (decision and reason) to
-    [Array.map (check b) qs] and preserves order. Backends that can
-    amortize work across a batch (shared policy-index probes, per-batch
-    dedupe, one cache pass) implement [many] natively; any plain
-    {!type:t} lifts via {!Batch.of_callout} with the derived
-    (non-amortized) lane, so every existing callout keeps working. *)
+(** Batched decisions: a callout with a [single] lane for one query and
+    a [many] lane that answers a whole [query array] in one call, in
+    request order. Each PEP layer writes only one of the two: a backend
+    that amortizes work across a batch (shared policy-index probes,
+    per-batch dedupe, one cache pass) writes the many lane and enters
+    through {!Batch.of_many}, so its single query is a batch of one; a
+    plain {!type:t} enters through {!Batch.of_callout}, so its many lane
+    maps the single one. Either way [evaluate_many b qs] is element-wise
+    equal (decision and reason) to [Array.map (check b) qs]. *)
 module Batch : sig
   type callout = t
 
@@ -92,13 +93,17 @@ module Batch : sig
   }
 
   val make : single:callout -> many:(query array -> decision array) -> t
-  (** [many] must be element-wise equivalent to mapping [single] and
-      must return the answers in request order. *)
+  (** Both lanes by hand, for wrappers that must treat the two
+      differently (a timer per lane, {!instrument_batch}). [many] must be
+      element-wise equivalent to mapping [single] and must return the
+      answers in request order. *)
+
+  val of_many : (query array -> decision array) -> t
+  (** A native many lane; the single lane asks it a batch of one. *)
 
   val of_callout : callout -> t
-  (** Derived fallback: [many] is [Array.map] over the single lane. *)
+  (** A plain callout; the many lane is [Array.map] over it. *)
 
-  val callout : t -> callout
   val check : t -> callout
 
   val evaluate_many : t -> query array -> decision array
@@ -109,32 +114,6 @@ end
 val outcome_label : decision -> string
 (** ["permitted"] / ["denied"] / ["system_error"] / ["bad_configuration"]:
     the metric label vocabulary for decisions. *)
-
-val with_timeout : budget:float -> latency:(unit -> float) -> t -> t
-(** Bound the backend's (simulated) latency: when [latency ()] samples
-    above [budget], answer [System_error] immediately instead of
-    blocking the JMI. *)
-
-val with_retry : ?policy:Grid_util.Retry.policy -> t -> t
-(** Retry [System_error] answers up to [policy.max_attempts] times
-    (within the same simulation instant — the JMI blocks on the callout);
-    [Denied] and [Bad_configuration] are returned as-is. *)
-
-val with_breaker : breaker:Grid_util.Retry.Breaker.t -> now:(unit -> float) -> t -> t
-(** Circuit-break a callout: while the breaker is open, answer
-    [System_error "authorization backend circuit open"] without invoking
-    the backend. [Ok] and [Denied] count as successes (the policy engine
-    answered); [System_error]/[Bad_configuration] count as failures. *)
-
-type degradation =
-  | Fail_open  (** availability over enforcement: outage => permit *)
-  | Fail_closed  (** the paper's default-deny stance: outage => refuse *)
-
-val degrade : degradation -> t -> t
-(** Explicit degradation policy for backend outages. Converts only
-    [System_error]/[Bad_configuration] — a [Denied] policy answer is
-    never overridden, so [Fail_open] cannot turn a denial into a permit.
-    Default configuration across the system is [Fail_closed]. *)
 
 val flaky : rng:Grid_util.Rng.t -> failure_probability:float -> t -> t
 (** Deterministic fault injector: fail with [System_error] at the given
@@ -151,8 +130,10 @@ val instrument : ?backend:string -> ?epoch:(unit -> int) -> obs:Grid_obs.Obs.t -
 
 val instrument_batch :
   ?backend:string -> ?epoch:(unit -> int) -> obs:Grid_obs.Obs.t -> Batch.t -> Batch.t
-(** Batched sibling of {!instrument}: the single lane is instrumented
-    per-decision as usual; the many lane runs the whole batch under one
+(** Batched sibling of {!instrument}, and the one place the two lanes
+    stay apart above the PEPs: the single lane is instrumented
+    per-decision as {!instrument} does (an ["authz.callout"] span nested
+    under the caller's); the many lane runs the whole batch under one
     ["authz.batch"] span and bulk-increments
     [authz_decisions_total{action,outcome,backend}] per cell, but still
     emits one ["authz.decision"] wide event per decision — the safety

@@ -25,7 +25,8 @@ let decision_to_callout = function
    decision value shared thereafter — structurally identical to what
    [decision_to_callout] would build fresh. The table is capped (an
    adversarial reason stream cannot grow it without bound) and reset on
-   reload, since a new policy makes old denial shapes unreachable. *)
+   reload, since a new policy makes old denial shapes unreachable. The
+   ReBAC PEP interns through the same function. *)
 let intern_cap = 1024
 
 let intern_decision (tbl : (Grid_policy.Combine.combined_decision, Callout.decision) Hashtbl.t)
@@ -81,20 +82,14 @@ module Compiled = struct
     Hashtbl.reset t.interned;
     note_epoch t
 
-  let callout t : Callout.t =
-   fun query ->
-    intern_decision t.interned
-      (Grid_policy.Combine.evaluate_compiled ?obs:t.obs t.sources
-         (Callout.to_policy_request query))
-
-  (* Native batch lane: structurally identical questions are collapsed
-     once, up front, so the per-source pipeline and the denial interning
-     each run once per *distinct* request rather than once per query —
-     the dominant saving on the repetitive streams job managers emit.
+  (* The PEP's one lane, written for a batch (a single query is a batch
+     of one): structurally identical questions are collapsed once, up
+     front, so the per-source pipeline and the denial interning each run
+     once per *distinct* request rather than once per query — the
+     dominant saving on the repetitive streams job managers emit.
      [Combine.evaluate_compiled_many] still sorts and groups what
      remains by subject. *)
   let batch t : Callout.Batch.t =
-    let single = callout t in
     let many qs =
       let n = Array.length qs in
       if n = 0 then [||]
@@ -123,11 +118,11 @@ module Compiled = struct
         Array.init n (fun i -> answers.(rep.(i)))
       end
     in
-    Callout.Batch.make ~single ~many
+    Callout.Batch.of_many many
 end
 
 let of_sources ?obs (sources : Grid_policy.Combine.source list) : Callout.t =
-  Compiled.callout (Compiled.create ?obs sources)
+  Callout.Batch.check (Compiled.batch (Compiled.create ?obs sources))
 
 (* The pre-compilation evaluation path: scans every statement per query.
    The differential suite holds [of_sources] to this behaviour; bench T16

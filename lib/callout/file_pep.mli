@@ -12,14 +12,13 @@ module Compiled : sig
   type t
 
   val create : ?obs:Grid_obs.Obs.t -> Grid_policy.Combine.source list -> t
-  val callout : t -> Callout.t
 
   val batch : t -> Callout.Batch.t
-  (** Native batch lane: one amortized pass over the compiled sources
+  (** The PEP's decisions: one amortized pass over the compiled sources
       per batch ({!Grid_policy.Combine.evaluate_compiled_many}), with
       denial decisions interned so repeated reasons share one rendered
-      message. Element-wise equal to mapping {!callout} over the batch,
-      in request order. *)
+      message; answers in request order. A single query
+      ({!Callout.Batch.check}) is a batch of one. *)
 
   val epoch : t -> int
 
@@ -36,6 +35,15 @@ val of_sources : ?obs:Grid_obs.Obs.t -> Grid_policy.Combine.source list -> Callo
 val reference : Grid_policy.Combine.source list -> Callout.t
 (** The uncompiled evaluation path ([Combine.evaluate] per query):
     answers exactly what {!of_sources} answers, at pre-index cost. *)
+
+val intern_decision :
+  (Grid_policy.Combine.combined_decision, Callout.decision) Hashtbl.t ->
+  Grid_policy.Combine.combined_decision ->
+  Callout.decision
+(** The callout decision for a combined policy decision, with denials
+    interned in the given table (capped; the caller resets it on
+    reload): repeated denials share one rendered message. Shared by the
+    flat-file and ReBAC PEPs. *)
 
 val of_policy : name:string -> Grid_policy.Types.t -> Callout.t
 

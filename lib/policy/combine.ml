@@ -49,8 +49,8 @@ let evaluate_all (sources : source list) (request : Types.request) :
 (* --- Compiled sources -------------------------------------------------- *)
 
 (* The same conjunctive combination over pre-compiled policies: the hot
-   path the PEPs actually run. Decisions (and the per-source
-   [policy_eval_total] instrumentation) are identical to [evaluate]. *)
+   path the flat-file PEP actually runs, one batch at a time (a single
+   query is a batch of one). Decisions are identical to [evaluate]. *)
 
 type compiled_source = {
   origin : source;
@@ -63,26 +63,10 @@ let compile_sources = List.map compile_source
 let epoch_of (sources : compiled_source list) =
   List.fold_left (fun acc c -> max acc (Compile.epoch c.compiled)) 0 sources
 
-let evaluate_compiled ?obs (sources : compiled_source list) (request : Types.request) :
-    combined_decision =
-  let rec go = function
-    | [] -> Permit
-    | c :: rest -> begin
-      match
-        Eval.observed_with ?obs ~source:c.origin.name ~eval:(Compile.eval c.compiled)
-          request
-      with
-      | Eval.Permit -> go rest
-      | Eval.Deny reason -> Deny { source = c.origin.name; reason }
-    end
-  in
-  if sources = [] then Deny { source = "(none)"; reason = Eval.No_applicable_grant }
-  else go sources
-
 (* Batched conjunction, source-major: evaluate the whole pending batch
    against source 1, drop the requests it denied (recording the denial),
    and hand only the survivors to source 2, and so on. Element-wise this
-   answers exactly what [evaluate_compiled] answers — a request's first
+   answers exactly what [evaluate] answers — a request's first
    denying source (in source order) is the one reported — while each
    source sees one amortized [Compile.eval_many] pass instead of
    per-request calls. Answers are scattered back by original index, so

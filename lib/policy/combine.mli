@@ -24,9 +24,9 @@ val evaluate_all : source list -> Types.request -> (string * Eval.decision) list
 
 (** {1 Compiled sources}
 
-    The combination the PEPs run in production: each source's policy is
-    compiled once ({!Compile}) and the conjunction evaluates through the
-    index. Decisions and instrumentation are identical to {!evaluate}. *)
+    The combination the flat-file PEP runs in production: each source's
+    policy is compiled once ({!Compile}) and the conjunction evaluates
+    through the index. Decisions are identical to {!evaluate}. *)
 
 type compiled_source = {
   origin : source;
@@ -39,17 +39,14 @@ val epoch_of : compiled_source list -> int
 (** The newest policy epoch across the sources (0 when empty); bumps
     whenever any source is recompiled. *)
 
-val evaluate_compiled :
-  ?obs:Grid_obs.Obs.t -> compiled_source list -> Types.request -> combined_decision
-(** Same contract as {!evaluate}, through the compiled index. *)
-
 val evaluate_compiled_many :
   ?obs:Grid_obs.Obs.t ->
   compiled_source list ->
   Types.request array ->
   combined_decision array
-(** Element-wise identical to mapping {!evaluate_compiled}, in request
-    order, evaluated source-major: each source answers one amortized
-    {!Compile.eval_many} pass over the requests every earlier source
-    permitted; the first denying source (in source order) is the one
-    reported, exactly as in the single-shot path. *)
+(** Element-wise identical to mapping {!evaluate} over the uncompiled
+    sources, in request order, evaluated source-major: each source
+    answers one amortized {!Compile.eval_many} pass over the requests
+    every earlier source permitted; the first denying source (in source
+    order) is the one reported. [obs] spans each source's pass
+    (["policy.eval"]) and counts its decisions in [policy_eval_total]. *)

@@ -43,7 +43,7 @@
    policy/request pairs.
 
    The decision procedure below ([decide]) mirrors [Eval.evaluate] and
-   [Combine.evaluate_compiled] clause by clause — only the applicability
+   [Combine.evaluate] clause by clause — only the applicability
    test is swapped for graph expansion; residual constraint evaluation
    reuses the exported [Eval] primitives so the reasons (violated
    requirement, considered-clause counts, denying source) come out
@@ -270,7 +270,7 @@ let decide_source store ?consistency t (sp : source_plan)
       if List.exists (Eval.clause_satisfied ~subject view) clauses then Eval.Permit
       else Eval.Deny (Eval.No_satisfied_clause { considered = List.length clauses })
 
-(* Mirrors [Combine.evaluate_compiled]: conjunctive, first denial wins,
+(* Mirrors [Combine.evaluate]: conjunctive, first denial wins,
    empty fails closed; per-source instrumentation under the same
    ["policy.eval"] span and [policy_eval_total] counter vocabulary. *)
 let decide ?obs ?consistency t store (request : Types.request) :

@@ -26,7 +26,7 @@ val decide :
   Grid_policy.Types.request ->
   (Grid_policy.Combine.combined_decision, Store.check_error) result
 (** Conjunctive multi-source decision, mirroring
-    {!Grid_policy.Combine.evaluate_compiled}: first denial wins, an
+    {!Grid_policy.Combine.evaluate}: first denial wins, an
     empty source list fails closed; [Error] carries the graph-side
     failure (depth budget, future token, expired snapshot) — an
     authorization-system condition, not a policy answer. *)

@@ -19,10 +19,10 @@ type t = {
   mutable plan : Compile.t;
   mutable store : Store.t;
   mutable nsources : int;
-  (* Denial interning (same discipline as [File_pep]): messages for the
+  (* Denial interning ([File_pep.intern_decision]): messages for the
      few distinct (source, reason) denials are rendered once and the
-     decision values shared; capped, and reset on reload because a new
-     policy makes old denial shapes unreachable. *)
+     decision values shared; reset on reload because a new policy makes
+     old denial shapes unreachable. *)
   interned : (Grid_policy.Combine.combined_decision, Grid_callout.Callout.decision) Hashtbl.t;
 }
 
@@ -60,43 +60,23 @@ let epoch t = Store.epoch t.store
 let revision t = Store.revision t.store
 let head t = Store.head t.store
 
-let decision_to_callout = function
-  | Grid_policy.Combine.Permit -> Grid_callout.Callout.permitted
-  | Grid_policy.Combine.Deny { source; reason } ->
-    Error
-      (Grid_callout.Callout.Denied
-         (Printf.sprintf "%s: %s" source (Grid_policy.Eval.reason_to_string reason)))
-
-let intern_cap = 1024
-
-let intern_decision t = function
-  | Grid_policy.Combine.Permit -> Grid_callout.Callout.permitted
-  | Grid_policy.Combine.Deny _ as d -> begin
-    match Hashtbl.find_opt t.interned d with
-    | Some decision -> decision
-    | None ->
-      let decision = decision_to_callout d in
-      if Hashtbl.length t.interned < intern_cap then Hashtbl.add t.interned d decision;
-      decision
-  end
-
 let decide_request ?consistency t request =
   match Compile.decide ?obs:t.obs ?consistency t.plan t.store request with
-  | Ok decision -> intern_decision t decision
+  | Ok decision -> Grid_callout.File_pep.intern_decision t.interned decision
   | Error e ->
     Error
       (Grid_callout.Callout.System_error ("rebac: " ^ Store.check_error_to_string e))
 
+(* The store is the single replica, so the head snapshot ([batch])
+   already satisfies every issued token; a caller pinning [At_least z]
+   or [Snapshot z] gets the token-respecting variants here, one query at
+   a time. *)
 let callout_with ?consistency t : Grid_callout.Callout.t =
  fun query ->
   decide_request ?consistency t (Grid_callout.Callout.to_policy_request query)
 
-(* The store is the single replica, so [Latest] already satisfies every
-   issued token; a caller pinning [At_least z] or [Snapshot z] gets the
-   token-respecting variants. *)
-let callout t = callout_with t
-
-(* Native batch lane: graph expansion cannot share work across distinct
+(* The head-snapshot lane, written for a batch (a single query is a
+   batch of one): graph expansion cannot share work across distinct
    requests the way the compiled RSL index can, but management ticks
    repeat the same (subject, action, jobowner, jobtag) question across a
    job population — requests are plain data, so structurally equal
@@ -104,7 +84,6 @@ let callout t = callout_with t
    all within one snapshot) and the shared decision value scattered to
    every duplicate slot, in request order. *)
 let batch t : Grid_callout.Callout.Batch.t =
-  let single = callout t in
   let many qs =
     let n = Array.length qs in
     let results = Array.make n Grid_callout.Callout.permitted in
@@ -122,6 +101,6 @@ let batch t : Grid_callout.Callout.Batch.t =
     done;
     results
   in
-  Grid_callout.Callout.Batch.make ~single ~many
+  Grid_callout.Callout.Batch.of_many many
 
-let of_sources ?obs sources = callout (create ?obs sources)
+let of_sources ?obs sources = Grid_callout.Callout.Batch.check (batch (create ?obs sources))

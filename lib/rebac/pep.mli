@@ -22,18 +22,16 @@ val revision : t -> int
 val head : t -> Zookie.t
 (** The consistency token naming the current snapshot. *)
 
-val callout : t -> Grid_callout.Callout.t
-(** Decisions at the head snapshot. *)
+val batch : t -> Grid_callout.Callout.Batch.t
+(** Decisions at the head snapshot: structurally equal requests in a
+    batch share one graph expansion (one decision per distinct
+    question), answers in request order. A single query
+    ({!Grid_callout.Callout.Batch.check}) is a batch of one. *)
 
 val callout_with : ?consistency:Store.consistency -> t -> Grid_callout.Callout.t
-(** [consistency] pins decisions to a caller token ([At_least] /
-    [Snapshot]). *)
-
-val batch : t -> Grid_callout.Callout.Batch.t
-(** Native batch lane at the head snapshot: structurally equal requests
-    in a batch share one graph expansion (one decision per distinct
-    question), answers in request order — element-wise equal to mapping
-    {!callout}. *)
+(** One query at a time, with [consistency] pinning the decision to a
+    caller token ([At_least] / [Snapshot]) — the one path that takes a
+    token, so it has no batch. *)
 
 val of_sources : ?obs:Grid_obs.Obs.t -> Grid_policy.Combine.source list -> Grid_callout.Callout.t
-(** [callout (create ?obs sources)]. *)
+(** [Batch.check (batch (create ?obs sources))]. *)

@@ -87,22 +87,12 @@ let checked_span ~obs ?validator ~sts_key ~audience ~now query =
   note ~obs query checked;
   checked
 
-let callout ?(obs = Obs.noop) ?validator ~sts_key ~audience ~now inner :
-    Callout.t =
- fun query ->
-  match checked_span ~obs ?validator ~sts_key ~audience ~now query with
-  | Not_accepted error -> Error error
-  | Accepted _token -> inner query
-
+(* The gate's one lane, written for a batch (a single query is a batch
+   of one): check tokens per query, send only the survivors to the inner
+   many lane (keeping its batch amortization), splice answers back in
+   request order. *)
 let batch ?(obs = Obs.noop) ?validator ~sts_key ~audience ~now
     (inner : Callout.Batch.t) : Callout.Batch.t =
-  let single =
-    callout ~obs ?validator ~sts_key ~audience ~now
-      (Callout.Batch.check inner)
-  in
-  (* Check tokens per query, send only the survivors to the inner many
-     lane (keeping its batch amortization), splice answers back in
-     request order. *)
   let many (queries : Callout.query array) =
     let n = Array.length queries in
     let answers = Array.make n Callout.permitted in
@@ -122,4 +112,8 @@ let batch ?(obs = Obs.noop) ?validator ~sts_key ~audience ~now
     end;
     answers
   in
-  Callout.Batch.make ~single ~many
+  Callout.Batch.of_many many
+
+let callout ?validator ~sts_key ~audience ~now inner =
+  Callout.Batch.check
+    (batch ?validator ~sts_key ~audience ~now (Callout.Batch.of_callout inner))

@@ -15,19 +15,6 @@
 
 type clock = unit -> Grid_sim.Clock.time
 
-val callout :
-  ?obs:Grid_obs.Obs.t ->
-  ?validator:Validator.t ->
-  sts_key:Grid_crypto.Keypair.public ->
-  audience:string ->
-  now:clock ->
-  Grid_callout.Callout.t ->
-  Grid_callout.Callout.t
-(** [callout ~sts_key ~audience ~now inner]: validate the carried token,
-    then ask [inner]. Fails closed ([Denied]) without a credential or
-    token; an undecodable token is a [System_error]. Without [validator]
-    no revocation state is consulted (the stateless mode). *)
-
 val batch :
   ?obs:Grid_obs.Obs.t ->
   ?validator:Validator.t ->
@@ -36,7 +23,21 @@ val batch :
   now:clock ->
   Grid_callout.Callout.Batch.t ->
   Grid_callout.Callout.Batch.t
-(** Batched sibling: tokens are checked per-query, the surviving
-    sub-batch goes to the inner [many] lane in one call (preserving its
-    amortization), and answers return in request order — element-wise
-    equal to mapping the single lane. *)
+(** [batch ~sts_key ~audience ~now inner]: validate each query's carried
+    token, then ask [inner]. Fails closed ([Denied]) without a credential
+    or token; an undecodable token is a [System_error]. Without
+    [validator] no revocation state is consulted (the stateless mode).
+    Tokens are checked per query and the surviving sub-batch goes to the
+    inner [many] lane in one call (preserving its amortization); answers
+    return in request order. A single query
+    ({!Grid_callout.Callout.Batch.check}) is a batch of one. *)
+
+val callout :
+  ?validator:Validator.t ->
+  sts_key:Grid_crypto.Keypair.public ->
+  audience:string ->
+  now:clock ->
+  Grid_callout.Callout.t ->
+  Grid_callout.Callout.t
+(** {!batch} over a plain inner callout, one query at a time, without
+    observation. *)

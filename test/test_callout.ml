@@ -41,119 +41,37 @@ let test_counting () =
   ignore (c q);
   Alcotest.(check int) "two invocations" 2 (count ())
 
-(* --- Resilience combinators ---------------------------------------------- *)
+(* --- Resilience ------------------------------------------------------------ *)
 
-let test_with_timeout () =
-  let q = start_query "&(executable=x)" in
-  let slow = ref false in
-  let latency () = if !slow then 1.0 else 0.01 in
-  let c = Callout.with_timeout ~budget:0.1 ~latency Callout.permit_all in
-  Alcotest.(check bool) "fast backend permits" true (c q = Ok ());
-  slow := true;
-  match c q with
-  | Error (Callout.System_error m) ->
-    Alcotest.(check bool) "mentions timeout" true
-      (Grid_util.Str_search.contains m "timed out")
-  | _ -> Alcotest.fail "slow backend must time out as System_error"
-
-let test_with_retry_transient () =
-  let q = start_query "&(executable=x)" in
-  (* Fails twice, then answers: with_retry masks the transient failures. *)
-  let calls = ref 0 in
-  let transient : Callout.t =
-   fun _ ->
-    incr calls;
-    if !calls <= 2 then Error (Callout.System_error "blip") else Ok ()
-  in
-  let policy = Grid_util.Retry.policy ~max_attempts:4 () in
-  Alcotest.(check bool) "eventually permits" true
-    (Callout.with_retry ~policy transient q = Ok ());
-  Alcotest.(check int) "three calls" 3 !calls
-
-let test_with_retry_exhaustion_and_no_retry_on_denial () =
-  let q = start_query "&(executable=x)" in
-  let calls = ref 0 in
-  let always_down : Callout.t =
-   fun _ ->
-    incr calls;
-    Error (Callout.System_error "down")
-  in
-  let policy = Grid_util.Retry.policy ~max_attempts:3 () in
-  (match Callout.with_retry ~policy always_down q with
-  | Error (Callout.System_error _) -> ()
-  | _ -> Alcotest.fail "exhaustion must propagate the system error");
-  Alcotest.(check int) "exactly max_attempts calls" 3 !calls;
-  (* A denial is a definite answer: never retried. *)
-  let denials = ref 0 in
-  let denier : Callout.t =
-   fun _ ->
-    incr denials;
-    Error (Callout.Denied "no")
-  in
-  (match Callout.with_retry ~policy denier q with
-  | Error (Callout.Denied _) -> ()
-  | _ -> Alcotest.fail "denial must propagate unchanged");
-  Alcotest.(check int) "single call on denial" 1 !denials
+(* The circuit breaker the MDS broker guards each candidate resource
+   with, driven directly. *)
+module Breaker = Grid_util.Retry.Breaker
 
 let test_breaker_opens_and_half_open_recovery () =
-  let q = start_query "&(executable=x)" in
-  let clock = ref 0.0 in
-  let now () = !clock in
-  let breaker = Grid_util.Retry.Breaker.create ~failure_threshold:2 ~cooldown:10.0 () in
-  let healthy = ref false in
-  let backend : Callout.t =
-   fun _ -> if !healthy then Ok () else Error (Callout.System_error "down")
-  in
-  let c = Callout.with_breaker ~breaker ~now backend in
+  let breaker = Breaker.create ~failure_threshold:2 ~cooldown:10.0 () in
   (* Two failures trip the breaker. *)
-  ignore (c q);
-  ignore (c q);
+  Breaker.failure breaker ~now:0.0;
+  Breaker.failure breaker ~now:0.0;
   Alcotest.(check bool) "open after threshold" true
-    (Grid_util.Retry.Breaker.state breaker ~now:!clock = Grid_util.Retry.Breaker.Open);
-  (* While open, the backend is not consulted. *)
-  (match c q with
-  | Error (Callout.System_error m) ->
-    Alcotest.(check bool) "reports circuit open" true
-      (Grid_util.Str_search.contains m "circuit open")
-  | _ -> Alcotest.fail "open breaker must short-circuit");
-  (* Cooldown elapses; the backend heals; the half-open probe closes it. *)
-  clock := 11.0;
-  healthy := true;
-  Alcotest.(check bool) "half-open admits probe" true
-    (Grid_util.Retry.Breaker.state breaker ~now:!clock = Grid_util.Retry.Breaker.Half_open);
-  Alcotest.(check bool) "probe permits" true (c q = Ok ());
+    (Breaker.state breaker ~now:0.0 = Breaker.Open);
+  Alcotest.(check bool) "open breaker refuses" false (Breaker.allow breaker ~now:0.0);
+  (* Cooldown elapses; the half-open probe succeeds and closes it. *)
+  Alcotest.(check bool) "half-open after cooldown" true
+    (Breaker.state breaker ~now:11.0 = Breaker.Half_open);
+  Alcotest.(check bool) "half-open admits probe" true (Breaker.allow breaker ~now:11.0);
+  Breaker.success breaker ~now:11.0;
   Alcotest.(check bool) "closed after successful probe" true
-    (Grid_util.Retry.Breaker.state breaker ~now:!clock = Grid_util.Retry.Breaker.Closed)
+    (Breaker.state breaker ~now:11.0 = Breaker.Closed)
 
 let test_breaker_failed_probe_reopens () =
-  let q = start_query "&(executable=x)" in
-  let clock = ref 0.0 in
-  let now () = !clock in
-  let breaker = Grid_util.Retry.Breaker.create ~failure_threshold:1 ~cooldown:5.0 () in
-  let c = Callout.with_breaker ~breaker ~now (Callout.failing ~message:"still down") in
-  ignore (c q);
-  clock := 6.0;
-  ignore (c q);
+  let breaker = Breaker.create ~failure_threshold:1 ~cooldown:5.0 () in
+  Breaker.failure breaker ~now:0.0;
+  Alcotest.(check bool) "probe admitted after cooldown" true (Breaker.allow breaker ~now:6.0);
+  Breaker.failure breaker ~now:6.0;
   (* The probe failed: back to Open with a fresh cooldown from t=6. *)
-  Alcotest.(check bool) "re-opened" true
-    (Grid_util.Retry.Breaker.state breaker ~now:8.0 = Grid_util.Retry.Breaker.Open);
+  Alcotest.(check bool) "re-opened" true (Breaker.state breaker ~now:8.0 = Breaker.Open);
   Alcotest.(check bool) "half-open again after new cooldown" true
-    (Grid_util.Retry.Breaker.state breaker ~now:11.5 = Grid_util.Retry.Breaker.Half_open)
-
-let test_degrade_fail_closed_and_open () =
-  let q = start_query "&(executable=x)" in
-  let down = Callout.failing ~message:"backend unreachable" in
-  (* Fail-closed (the default stance): outage stays an error => deny. *)
-  (match Callout.degrade Callout.Fail_closed down q with
-  | Error (Callout.System_error _) -> ()
-  | _ -> Alcotest.fail "fail-closed must preserve the outage error");
-  (* Fail-open converts the outage to a permit... *)
-  Alcotest.(check bool) "fail-open permits on outage" true
-    (Callout.degrade Callout.Fail_open down q = Ok ());
-  (* ...but NEVER overrides a policy denial. *)
-  match Callout.degrade Callout.Fail_open (Callout.deny_all ~reason:"no") q with
-  | Error (Callout.Denied _) -> ()
-  | _ -> Alcotest.fail "fail-open must not convert a denial into a permit"
+    (Breaker.state breaker ~now:11.5 = Breaker.Half_open)
 
 let test_flaky_deterministic () =
   let q = start_query "&(executable=x)" in
@@ -282,6 +200,10 @@ let test_file_pep_of_texts_good () =
 
 (* --- Decision cache ------------------------------------------------------ *)
 
+(* A plain callout through the cache, one query at a time. *)
+let cached ?scope cache (c : Callout.t) : Callout.t =
+  Callout.Batch.check (Cache.with_cache_many cache ?scope (Callout.Batch.of_callout c))
+
 (* Distinct-keyed management queries for churn tests. *)
 let keyed_query ?credential ~job_id () =
   Callout.Query.make ~requester:(dn "/O=Grid/CN=U") ?credential ~job_id
@@ -298,7 +220,7 @@ let test_cache_hits_and_epoch_invalidation () =
     Cache.create ~capacity:8 ~ttl:100.0 ~epoch:(fun () -> !epoch)
       ~now:(fun () -> !clock) ()
   in
-  let pep = Cache.with_cache cache backend in
+  let pep = cached cache backend in
   let q = keyed_query ~job_id:"job-1" () in
   Alcotest.(check bool) "first answer" true (pep q = Ok ());
   Alcotest.(check bool) "second answer" true (pep q = Ok ());
@@ -314,7 +236,7 @@ let test_cache_caches_denials () =
   let clock = ref 0.0 in
   let backend, calls = Callout.counting (Callout.deny_all ~reason:"no") in
   let cache = Cache.create ~capacity:8 ~ttl:100.0 ~now:(fun () -> !clock) () in
-  let pep = Cache.with_cache cache backend in
+  let pep = cached cache backend in
   let q = keyed_query ~job_id:"job-1" () in
   (match pep q with
   | Error (Callout.Denied _) -> ()
@@ -326,7 +248,7 @@ let test_cache_ttl_expiry () =
   let clock = ref 0.0 in
   let backend, calls = Callout.counting Callout.permit_all in
   let cache = Cache.create ~capacity:8 ~ttl:10.0 ~now:(fun () -> !clock) () in
-  let pep = Cache.with_cache cache backend in
+  let pep = cached cache backend in
   let q = keyed_query ~job_id:"job-1" () in
   ignore (pep q);
   clock := 5.0;
@@ -344,7 +266,7 @@ let test_cache_expired_credential_bypasses () =
   let credential = Grid_gsi.Credential.of_identity identity ~challenge:"c" in
   let backend, calls = Callout.counting Callout.permit_all in
   let cache = Cache.create ~capacity:8 ~ttl:1000.0 ~now:(fun () -> !clock) () in
-  let pep = Cache.with_cache cache backend in
+  let pep = cached cache backend in
   let q = keyed_query ~credential ~job_id:"job-1" () in
   ignore (pep q);
   ignore (pep q);
@@ -374,7 +296,7 @@ let test_cache_revoked_credential_bypasses () =
           cred.Grid_gsi.Credential.chain)
       ~now:(fun () -> !clock) ()
   in
-  let pep = Cache.with_cache cache backend in
+  let pep = cached cache backend in
   let q = keyed_query ~credential ~job_id:"job-1" () in
   ignore (pep q);
   ignore (pep q);
@@ -414,25 +336,31 @@ let test_cache_revoked_credential_bypasses () =
     "batch lane: bare query cached once, revoked query re-evaluated twice" 3
     !many_calls
 
-let test_cache_never_caches_system_error_or_fail_open () =
+let test_cache_never_caches_system_error () =
   let clock = ref 0.0 in
   let backend, calls = Callout.counting (Callout.failing ~message:"backend down") in
   let cache = Cache.create ~capacity:8 ~ttl:100.0 ~now:(fun () -> !clock) () in
-  (* degrade OUTSIDE the cache: the fail-open permit is a conversion of
-     an uncached System_error, so it can never be stored. *)
-  let pep = Callout.degrade Callout.Fail_open (Cache.with_cache cache backend) in
+  let pep = cached cache backend in
   let q = keyed_query ~job_id:"job-1" () in
-  Alcotest.(check bool) "fail-open converts outage to permit" true (pep q = Ok ());
-  Alcotest.(check bool) "again" true (pep q = Ok ());
+  let outage = function Error (Callout.System_error _) -> true | _ -> false in
+  Alcotest.(check bool) "outage answered" true (outage (pep q));
+  Alcotest.(check bool) "outage answered again" true (outage (pep q));
   Alcotest.(check int) "nothing was cached: backend consulted each time" 2 (calls ());
   Alcotest.(check int) "cache stayed empty" 0 (Cache.size cache);
-  Alcotest.(check int) "both lookups were misses" 2 (Cache.misses cache)
+  Alcotest.(check int) "both lookups were misses" 2 (Cache.misses cache);
+  (* Within one batch, duplicates of a failing ask share the one backend
+     call, and still nothing is stored. *)
+  let batch = Cache.with_cache_many cache (Callout.Batch.of_callout backend) in
+  let answers = Callout.Batch.evaluate_many batch [| q; q |] in
+  Alcotest.(check bool) "both slots answer the outage" true (Array.for_all outage answers);
+  Alcotest.(check int) "one backend call for the batch" 3 (calls ());
+  Alcotest.(check int) "cache still empty" 0 (Cache.size cache)
 
 let test_cache_lru_bound_under_churn () =
   let clock = ref 0.0 in
   let backend, calls = Callout.counting Callout.permit_all in
   let cache = Cache.create ~capacity:4 ~ttl:1000.0 ~now:(fun () -> !clock) () in
-  let pep = Cache.with_cache cache backend in
+  let pep = cached cache backend in
   let q i = keyed_query ~job_id:(Printf.sprintf "job-%d" i) () in
   for i = 1 to 10 do ignore (pep (q i)) done;
   Alcotest.(check int) "bound respected" 4 (Cache.size cache);
@@ -456,8 +384,8 @@ let test_cache_scopes_partition_keys () =
   let deny, deny_calls = Callout.counting (Callout.deny_all ~reason:"owner says no") in
   let permit, permit_calls = Callout.counting Callout.permit_all in
   let cache = Cache.create ~capacity:8 ~ttl:100.0 ~now:(fun () -> !clock) () in
-  let a = Cache.with_cache cache ~scope:"gatekeeper" deny in
-  let b = Cache.with_cache cache ~scope:"jm" permit in
+  let a = cached cache ~scope:"gatekeeper" deny in
+  let b = cached cache ~scope:"jm" permit in
   let q = keyed_query ~job_id:"job-1" () in
   (match a q with
   | Error (Callout.Denied _) -> ()
@@ -598,7 +526,7 @@ let test_cache_revision_keys_without_flushing () =
     Cache.create ~capacity:8 ~ttl:100.0 ~epoch:(fun () -> !epoch)
       ~revision:(fun () -> !revision) ~now:(fun () -> !clock) ()
   in
-  let pep = Cache.with_cache cache backend in
+  let pep = cached cache backend in
   let q = keyed_query ~job_id:"job-1" () in
   ignore (pep q);
   ignore (pep q);
@@ -622,16 +550,10 @@ let () =
           Alcotest.test_case "first error wins" `Quick test_all_first_error_wins;
           Alcotest.test_case "counting" `Quick test_counting ] );
       ( "resilience",
-        [ Alcotest.test_case "with_timeout" `Quick test_with_timeout;
-          Alcotest.test_case "with_retry transient" `Quick test_with_retry_transient;
-          Alcotest.test_case "with_retry exhaustion + denial" `Quick
-            test_with_retry_exhaustion_and_no_retry_on_denial;
-          Alcotest.test_case "breaker half-open recovery" `Quick
+        [ Alcotest.test_case "breaker half-open recovery" `Quick
             test_breaker_opens_and_half_open_recovery;
           Alcotest.test_case "breaker failed probe reopens" `Quick
             test_breaker_failed_probe_reopens;
-          Alcotest.test_case "degrade fail-open/closed" `Quick
-            test_degrade_fail_closed_and_open;
           Alcotest.test_case "flaky deterministic" `Quick test_flaky_deterministic ] );
       ( "registry+config",
         [ Alcotest.test_case "registry lookup" `Quick test_registry_lookup;
@@ -648,8 +570,8 @@ let () =
             test_cache_expired_credential_bypasses;
           Alcotest.test_case "revoked credential bypasses" `Quick
             test_cache_revoked_credential_bypasses;
-          Alcotest.test_case "system_error/fail-open never cached" `Quick
-            test_cache_never_caches_system_error_or_fail_open;
+          Alcotest.test_case "system_error never cached" `Quick
+            test_cache_never_caches_system_error;
           Alcotest.test_case "lru bound under churn" `Quick
             test_cache_lru_bound_under_churn;
           Alcotest.test_case "scopes partition keys" `Quick

@@ -142,21 +142,24 @@ let qcheck_compiled_is_reusable =
         requests)
 
 let qcheck_combine_compiled_agrees =
-  (* Conjunctive combination through compiled sources: same decision,
-     same denying source, same reason. *)
-  QCheck.Test.make ~name:"Combine.evaluate_compiled = Combine.evaluate" ~count:(count ~default:500)
+  (* Conjunctive combination through compiled sources, a batch at a
+     time: same decision, same denying source, same reason, in request
+     order. *)
+  QCheck.Test.make ~name:"Combine.evaluate_compiled_many = Combine.evaluate"
+    ~count:(count ~default:500)
     (QCheck.make
-       QCheck.Gen.(triple gen_policy gen_policy gen_request)
-       ~print:(fun (p1, p2, r) ->
-         Printf.sprintf "OWNER:\n%s\nVO:\n%s\nREQUEST: %s" (Types.to_string p1)
+       QCheck.Gen.(triple gen_policy gen_policy (list_size (int_range 1 8) gen_request))
+       ~print:(fun (p1, p2, rs) ->
+         Printf.sprintf "OWNER:\n%s\nVO:\n%s\nREQUESTS: %s" (Types.to_string p1)
            (Types.to_string p2)
-           (Fmt.to_to_string Types.pp_request r)))
-    (fun (p1, p2, request) ->
+           (String.concat "; " (List.map (Fmt.to_to_string Types.pp_request) rs))))
+    (fun (p1, p2, requests) ->
       let sources =
         [ Combine.source ~name:"owner" p1; Combine.source ~name:"vo" p2 ]
       in
-      Combine.evaluate_compiled (Combine.compile_sources sources) request
-      = Combine.evaluate sources request)
+      Combine.evaluate_compiled_many (Combine.compile_sources sources)
+        (Array.of_list requests)
+      = Array.of_list (List.map (Combine.evaluate sources) requests))
 
 let query_of_request (r : Types.request) : Grid_callout.Callout.query =
   { Grid_callout.Callout.requester = r.Types.subject;

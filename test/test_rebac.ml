@@ -138,6 +138,10 @@ let print_triple (p1, p2, r) =
 let arb_triple =
   QCheck.make QCheck.Gen.(triple gen_policy gen_policy gen_request) ~print:print_triple
 
+(* The compiled flat-file combination, one request as a batch of one. *)
+let compiled_decide compiled request =
+  (Combine.evaluate_compiled_many compiled [| request |]).(0)
+
 let two_sources p1 p2 = [ Combine.source ~name:"owner" p1; Combine.source ~name:"vo" p2 ]
 
 (* --- Differential properties ----------------------------------------------- *)
@@ -154,7 +158,7 @@ let rebac_agrees_with_compiled ~seed_name =
       let plan = RCompile.of_sources sources in
       let store = RCompile.load plan in
       RCompile.decide plan store request
-      = Ok (Combine.evaluate_compiled (Combine.compile_sources sources) request))
+      = Ok (compiled_decide (Combine.compile_sources sources) request))
 
 let qcheck_single_source_agrees_with_eval =
   (* Down to one source, against the reference evaluator itself. *)
@@ -190,7 +194,7 @@ let qcheck_plan_is_reusable =
       let revision_before = Store.revision store in
       List.for_all
         (fun r ->
-          RCompile.decide plan store r = Ok (Combine.evaluate_compiled compiled r)
+          RCompile.decide plan store r = Ok (compiled_decide compiled r)
           && RCompile.decide plan store r = RCompile.decide plan store r)
         requests
       && Store.revision store = revision_before)
@@ -232,7 +236,7 @@ let qcheck_snapshot_pinned_decisions_are_stable =
       let token = Store.head store in
       let pin = Store.Snapshot token in
       let before = RCompile.decide ~consistency:pin plan store request in
-      let reference = Ok (Combine.evaluate_compiled (Combine.compile_sources sources) request) in
+      let reference = Ok (compiled_decide (Combine.compile_sources sources) request) in
       (* make the requester a stored member of every pattern node: at
          head, every statement now applies to them *)
       let user = Tuple.User (Grid_gsi.Dn.to_string request.Types.subject) in
@@ -466,7 +470,7 @@ let test_pep_snapshot_gone_after_reload () =
       (String.length msg >= 6 && String.sub msg 0 6 = "rebac:")
   | Ok () | Error _ -> Alcotest.fail "expected System_error for an expired snapshot");
   (* but the same query at head still answers *)
-  match Pep.callout pep q with
+  match Grid_callout.Callout.Batch.check (Pep.batch pep) q with
   | Ok () -> ()
   | Error e -> Alcotest.fail (Grid_callout.Callout.error_to_string e)
 

@@ -59,10 +59,10 @@ module Testbed = struct
      harness builds one per backend), and keypair derivation is
      deterministic in the seed material, so re-registration is
      idempotent. *)
-  let create ?(ca_name = "/O=Grid/CN=Testbed CA") () =
+  let create () =
     Grid_util.Ids.reset ();
     let engine = Grid_sim.Engine.create () in
-    let ca = Grid_gsi.Ca.create ~now:(Grid_sim.Engine.now engine) ca_name in
+    let ca = Grid_gsi.Ca.create ~now:(Grid_sim.Engine.now engine) "/O=Grid/CN=Testbed CA" in
     let trust = Grid_gsi.Ca.Trust_store.create () in
     Grid_gsi.Ca.Trust_store.add trust (Grid_gsi.Ca.certificate ca);
     { engine; ca; trust; obs = Grid_obs.Obs.of_engine engine; users = [] }
@@ -86,7 +86,7 @@ module Testbed = struct
     | None -> invalid_arg ("Testbed.user: unknown user " ^ dn_string)
 
   let make_resource ?(name = "resource") ?nodes ?cpus_per_node ?queues ?gridmap
-      ?dynamic_accounts ?static_limits ?dynamic_limits ?gatekeeper_pep ?allocation
+      ?dynamic_accounts ?gatekeeper_pep ?allocation
       ?network ?request_timeout ?authz_cache ?store ?sts ~backend t =
     let pep, mode =
       match backend with
@@ -95,9 +95,9 @@ module Testbed = struct
       | Flat_file sources -> (Some (Site.pep ~obs:t.obs ~rebac:false sources), None)
       | Rebac p -> (Some (Site.rebac_pep p), None)
     in
-    (Site.resource ?queues ?nodes ?cpus_per_node ?gridmap ?dynamic_accounts ?static_limits
-       ?dynamic_limits ?gatekeeper_pep ?allocation ?network ?request_timeout ?authz_cache
-       ?store ?sts ?pep ?mode ~name ~engine:t.engine ~trust:t.trust ~obs:t.obs ())
+    (Site.resource ?queues ?nodes ?cpus_per_node ?gridmap ?dynamic_accounts ?gatekeeper_pep
+       ?allocation ?network ?request_timeout ?authz_cache ?store ?sts ?pep ?mode ~name
+       ~engine:t.engine ~trust:t.trust ~obs:t.obs ())
       .resource
 
   let client _t ~user ~resource =
@@ -122,19 +122,17 @@ module Fusion = struct
     kate : Grid_gram.Client.t;
     vo_admin : Grid_gram.Client.t;
     fleet : Fleet.t option;
-    population : Population.t option;
     sts : Grid_sts.Service.t option;
         (** the token service when the world runs tokenized ([?sts]) *)
   }
 
-  let build ?(backend = `Flat_file) ?(rebac = false) ?(nodes = 4) ?(cpus_per_node = 8)
-      ?queues ?faults ?(fault_seed = 1299709) ?request_timeout ?flaky_pep ?authz_cache
-      ?(store = false) ?snapshot_every ?disk_faults ?fleet ?population
-      ?dynamic_accounts ?broker_seed ?sts () =
+  let build ?(backend = `Flat_file) ?(nodes = 4) ?(cpus_per_node = 8) ?queues ?faults
+      ?(fault_seed = 1299709) ?request_timeout ?flaky_pep ?authz_cache ?(store = false)
+      ?snapshot_every ?fleet ?population ?broker_seed ?sts () =
     (* Only the self-hosted backends replicate per fleet member. *)
     if Option.is_some fleet
        && ((backend <> `Flat_file && backend <> `Rebac) || Option.is_some flaky_pep
-          || Option.is_some snapshot_every || Option.is_some disk_faults)
+          || Option.is_some snapshot_every)
     then
       invalid_arg "Fusion.build: a fleet replicates the flat-file or rebac backend only";
     let testbed = Testbed.create () in
@@ -158,12 +156,7 @@ module Fusion = struct
     in
     (* The population's unmapped DNs lease dynamic accounts; the Figure 3
        cast keeps its static gridmap entries. *)
-    let dynamic_accounts =
-      match (dynamic_accounts, population) with
-      | (Some _ as given), _ -> given
-      | None, Some p -> Some (min (Population.size p) 8192)
-      | None, None -> None
-    in
+    let dynamic_accounts = Option.map (fun p -> min (Population.size p) 8192) population in
     let gridmap = Grid_gsi.Gridmap.parse gridmap_text in
     (* Token mode: one service with the default permissive relation —
        the policy engines stay the sole deniers, so tokenized worlds are
@@ -182,17 +175,16 @@ module Fusion = struct
         (* Federated variant: [resources] full members behind one MDS. *)
         let fleet =
           Fleet.create ~resources ~name_prefix:"fusion-site" ~nodes ~cpus_per_node ?queues
-            ~gridmap ?dynamic_accounts ~rebac:(rebac || backend = `Rebac) ?authz_cache
+            ~gridmap ?dynamic_accounts ~rebac:(backend = `Rebac) ?authz_cache
             ~store ?faults ~fault_seed ?request_timeout ?seed:broker_seed
             ?sts:sts_service ~sources ~engine ~trust:(Testbed.trust testbed) ~obs ()
         in
         (Fleet.member_resource (Fleet.member fleet 0), Some fleet)
       | None ->
-        (* [~rebac:true] swaps the PEP for the relationship-based backend
+        (* [`Rebac] swaps the PEP for the relationship-based backend
            over the same policy sources; decisions are differentially
            pinned to the flat-file PEP's, so the world behaves
            identically. *)
-        let backend = if rebac then `Rebac else backend in
         let backend =
           match (backend, flaky_pep) with
           | `Baseline, _ -> Baseline
@@ -223,10 +215,8 @@ module Fusion = struct
            with journal-per-append durability and optional snapshot
            compaction. *)
         let store =
-          if store || Option.is_some snapshot_every || Option.is_some disk_faults then begin
-            let disk =
-              Grid_sim.Disk.create ?faults:disk_faults ~seed:(fault_seed + 29) ()
-            in
+          if store || Option.is_some snapshot_every then begin
+            let disk = Grid_sim.Disk.create ~seed:(fault_seed + 29) () in
             Some
               (Grid_store.Store.create ~obs ?snapshot_every ~disk ~name:"fusion-site" ())
           end
@@ -262,7 +252,6 @@ module Fusion = struct
       kate = mk kate_keahey;
       vo_admin = mk admin;
       fleet;
-      population;
       sts = sts_service }
 end
 

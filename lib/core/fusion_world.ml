@@ -35,13 +35,12 @@ let build_vo () =
   Grid_vo.Vo.add_member vo ~dn:admin ~groups:[ "admins" ];
   vo
 
-let resource_owner_policy_text =
-  {|# resource owner: fusion VO members may compute, but never on the
+let resource_owner_policy () =
+  Grid_policy.Parse.parse
+    {|# resource owner: fusion VO members may compute, but never on the
 # reserved queue; management is open to policy (the VO decides details).
 /O=Grid/O=Globus/OU=mcs.anl.gov: &(action = start)(queue != reserved)
 /O=Grid/O=Globus/OU=mcs.anl.gov: &(action = cancel) &(action = information) &(action = signal)|}
-
-let resource_owner_policy () = Grid_policy.Parse.parse resource_owner_policy_text
 
 let policy_sources vo =
   [ Grid_policy.Combine.source ~name:"resource-owner" (resource_owner_policy ());

@@ -44,7 +44,7 @@ type t = {
 }
 
 let resource ?queues ?(nodes = 4) ?(cpus_per_node = 8) ?(gridmap = Grid_gsi.Gridmap.empty)
-    ?dynamic_accounts ?static_limits ?dynamic_limits ?gatekeeper_pep ?allocation ?network
+    ?dynamic_accounts ?gatekeeper_pep ?allocation ?network
     ?request_timeout ?authz_cache ?store ?sts ?pep ?mode ~name ~engine ~trust ~obs () =
   let now () = Grid_sim.Engine.now engine in
   let epoch = Option.map (fun p -> p.epoch) pep in
@@ -63,7 +63,7 @@ let resource ?queues ?(nodes = 4) ?(cpus_per_node = 8) ?(gridmap = Grid_gsi.Grid
         Grid_accounts.Pool.create ~size ~lease_lifetime:(Grid_sim.Clock.hours 8.0) ())
       dynamic_accounts
   in
-  let mapper = Grid_accounts.Mapper.create ?pool ?static_limits ?dynamic_limits gridmap in
+  let mapper = Grid_accounts.Mapper.create ?pool gridmap in
   (* Tokenized resource: a validator attached to the service (its own
      revocation view, fed per the distribution mode) and the
      token-validating PEP outside the policy engine — the token is

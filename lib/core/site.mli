@@ -35,8 +35,6 @@ val resource :
   ?cpus_per_node:int ->
   ?gridmap:Grid_gsi.Gridmap.t ->
   ?dynamic_accounts:int ->
-  ?static_limits:(Grid_gsi.Dn.t -> Grid_accounts.Sandbox.limits) ->
-  ?dynamic_limits:Grid_accounts.Sandbox.limits ->
   ?gatekeeper_pep:Grid_callout.Callout.t ->
   ?allocation:Grid_accounts.Allocation.enforcement ->
   ?network:Grid_sim.Network.t ->

@@ -47,6 +47,6 @@ val instrument : ?epoch:(unit -> int) -> obs:Grid_obs.Obs.t -> t -> t
 
 val with_cache : cache:Grid_callout.Cache.t -> t -> t
 (** Memoize the Extended callout through an authorization decision cache
-    ([Grid_callout.Cache.with_cache]), scoped under the mode's backend
+    ([Grid_callout.Cache.with_cache_many]), scoped under the mode's backend
     label; the baseline is returned unchanged. Apply before {!instrument}
     so cache hits still count in [authz_decisions_total]. *)

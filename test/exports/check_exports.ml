@@ -1,8 +1,10 @@
 (* Exported-surface check, by resolved identifier.
 
    Reads the typed trees (.cmt, .cmti) that dune writes for every unit
-   under the scanned roots and reports four kinds of item declared in
-   the .mli files under the library root:
+   under the scanned roots and reports four kinds of item exported by
+   the units under the library root — declared in the unit's .mli, or,
+   for a .ml without one, in the signature the compiler inferred for
+   it:
 
    - a [val], including one in a nested submodule, that no other
      compilation unit uses;
@@ -223,7 +225,8 @@ let user ctx =
   in
   { default_iterator with expr; pat; module_expr; structure_item }
 
-(* ---- Exported items, from the library's .cmti files ---- *)
+(* ---- Exported items, from the library's .cmti files, or from the
+   inferred signature in the .cmt of a unit without an .mli ---- *)
 
 type kind =
   | Val of string list (* its optional labels *)
@@ -268,6 +271,32 @@ let rec exported ~owner ~display prefix (sg : signature) =
           exported ~owner ~display (prefix @ [ Ident.name id ]) sg
       | _ -> [])
     sg.sig_items
+
+(* The same items, read from an inferred signature. *)
+let rec inferred ~owner ~display prefix (sg : Types.signature) =
+  List.concat_map
+    (fun (item : Types.signature_item) ->
+      let shown rest = dotted (display :: rest) in
+      match item with
+      | Sig_value (id, vd, Exported) ->
+          let name = Ident.name id in
+          [ { kind = Val (optional_labels vd.val_type); path = prefix @ [ name ]; name; owner;
+              display = shown (List.tl prefix @ [ name ]) } ]
+      | Sig_type (id, decl, _, Exported) -> (
+          let ty = prefix @ [ Ident.name id ] in
+          let mk kind name = { kind; path = ty; name; owner; display = shown (List.tl ty @ [ name ]) } in
+          match decl.type_kind with
+          | Type_variant (cds, _) ->
+              List.map (fun (cd : Types.constructor_declaration) -> mk Constructor (Ident.name cd.cd_id)) cds
+          | Type_record (lds, _) ->
+              List.map (fun (ld : Types.label_declaration) -> mk Field (Ident.name ld.ld_id)) lds
+          | Type_abstract | Type_open -> [])
+      | Sig_module (id, _, { md_type = Mty_signature sg; _ }, _, Exported) ->
+          inferred ~owner ~display (prefix @ [ Ident.name id ]) sg
+      | Sig_value _ | Sig_type _ | Sig_module _ | Sig_typext _ | Sig_modtype _ | Sig_class _
+      | Sig_class_type _ ->
+          [])
+    sg
 
 (* ---- Files ---- *)
 
@@ -353,12 +382,17 @@ let () =
         in
         walk (binder ctx);
         walk (user ctx);
+        let in_lib = String.starts_with ~prefix:lib_prefix file in
         match (cmt.cmt_annots, cmt.cmt_sourcefile) with
-        | Interface sg, Some source
-          when String.starts_with ~prefix:lib_prefix file
-               && Filename.check_suffix source ".mli" ->
+        | Interface sg, Some source when in_lib && Filename.check_suffix source ".mli" ->
             exported ~owner:ctx.modname ~display:(display_name ~lib:!lib file source)
               [ ctx.modname ] sg
+        | Implementation str, Some source
+          when in_lib
+               && Filename.check_suffix source ".ml"
+               && not (Sys.file_exists (Filename.remove_extension file ^ ".cmti")) ->
+            inferred ~owner:ctx.modname ~display:(display_name ~lib:!lib file source)
+              [ ctx.modname ] str.str_type
         | _ -> [])
       files
   in

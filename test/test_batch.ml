@@ -6,15 +6,23 @@
    the decision AND the reason (the structural compare covers the full
    error payload) — and the answers must come back in request order.
 
-   The property runs for every backend that ships a native many lane
-   (flat-file compiled, compiled behind the decision cache, ReBAC) plus
-   the derived [Batch.of_callout] fallback, under three pinned seed
-   sets so a failure reproduces byte-for-byte. Generated batches mix
-   start and management intents, owners, jobtags, duplicates, and
-   missing/live/expired credentials; the cached backend is exercised
-   cold (misses) and warm (hits), and on one shared cache under two
-   scopes. A deterministic regression case pins request-order
-   preservation with asymmetric outcomes and duplicated slots. *)
+   The PEPs and the cache write only their many lane, and their single
+   lane is a batch of one, so "many = map single" alone would compare
+   one implementation with itself. The suite therefore also holds the
+   flat-file compiled backend and the cached backend, cold and warm,
+   to the uncompiled [File_pep.reference] evaluator, and pins
+   [check q = (evaluate_many [|q|]).(0)] for every backend.
+
+   The properties run for every backend that ships a native many lane
+   (flat-file compiled, compiled behind the decision cache, ReBAC), the
+   derived [Batch.of_callout] fallback and the gatekeeper-scoped cache
+   over it, under three pinned seed sets so a failure reproduces
+   byte-for-byte. Generated batches mix start and management intents,
+   owners, jobtags, duplicates, and missing/live/expired credentials;
+   the cached backends are exercised cold (misses) and warm (hits), and
+   on one shared cache under two scopes. A deterministic regression
+   case pins request-order preservation with asymmetric outcomes and
+   duplicated slots. *)
 
 module Callout = Grid_callout.Callout
 module File_pep = Grid_callout.File_pep
@@ -54,7 +62,8 @@ let sources = Core.Fusion.policy_sources (Core.Fusion.build_vo ())
 let compiled_pep = File_pep.Compiled.create sources
 let compiled = File_pep.Compiled.batch compiled_pep
 let rebac = Pep.batch (Pep.create sources)
-let fallback = Callout.Batch.of_callout (File_pep.reference sources)
+let reference = File_pep.reference sources
+let fallback = Callout.Batch.of_callout reference
 
 (* All cache clocks sit at [now]; the 50-second identities below are
    long dead by then, the 1000-second ones comfortably live. *)
@@ -151,20 +160,56 @@ let fresh_cache () =
     ~epoch:(fun () -> File_pep.Compiled.epoch compiled_pep)
     ~now:(fun () -> now) ()
 
+let cached () = Cache.with_cache_many (fresh_cache ()) compiled
+
+(* How the gatekeeper PEP, a plain callout, reaches the cache. *)
+let gatekeeper_cached () = Cache.with_cache_many (fresh_cache ()) ~scope:"gatekeeper" fallback
+
 let backends =
   [ ("flat-file compiled", fun () -> (compiled, compiled));
     ("derived fallback", fun () -> (fallback, fallback));
     ("rebac", fun () -> (rebac, rebac));
-    ( "compiled+cache",
-      fun () ->
-        ( Cache.with_cache_many (fresh_cache ()) compiled,
-          Cache.with_cache_many (fresh_cache ()) compiled ) ) ]
+    ("compiled+cache", fun () -> (cached (), cached ()));
+    ("gatekeeper cache", fun () -> (gatekeeper_cached (), gatekeeper_cached ())) ]
 
 let equivalence (name, make_pair) =
   QCheck.Test.make
     ~name:(name ^ ": evaluate_many = map single (decision and reason)")
     ~count:(count ~default:150) arb_batch
     (fun qs -> lanes_agree (make_pair ()) (Array.of_list qs))
+
+(* The single lane is the many lane asked a batch of one. Two passes,
+   so the cached backends answer cold and then warm; each lane has its
+   own cache instance, fed the same sequence. *)
+let batch_of_one (name, make_pair) =
+  QCheck.Test.make ~name:(name ^ ": check = evaluate_many of one")
+    ~count:(count ~default:150) arb_batch
+    (fun qs ->
+      let single, many = make_pair () in
+      let agree q =
+        Callout.Batch.check single q = (Callout.Batch.evaluate_many many [| q |]).(0)
+      in
+      List.for_all agree qs && List.for_all agree qs)
+
+(* The compiled index and the cache in front of it, against the
+   uncompiled reference evaluator: decision and reason, through both
+   lanes, cold then warm. *)
+let against_reference (name, make) =
+  QCheck.Test.make ~name:(name ^ ": = File_pep.reference (decision and reason)")
+    ~count:(count ~default:150) arb_batch
+    (fun qs ->
+      let qs = Array.of_list qs in
+      let truth = Array.map reference qs in
+      let b = make () in
+      let ok = ref true in
+      for _pass = 1 to 2 do
+        if Callout.Batch.evaluate_many b qs <> truth then ok := false;
+        if Array.map (Callout.Batch.check b) qs <> truth then ok := false
+      done;
+      !ok)
+
+let reference_backends =
+  [ ("flat-file compiled", fun () -> compiled); ("compiled+cache", cached) ]
 
 (* One shared cache serving two scopes: neither scope's batch lane may
    leak the other's entries, so both must keep matching the uncached
@@ -229,5 +274,8 @@ let () =
          (fun (label, seeds) ->
            ( "equivalence-seed-" ^ label,
              List.map (fun b -> pinned_with seeds (equivalence b)) backends
-             @ [ pinned_with seeds mixed_scopes ] ))
+             @ [ pinned_with seeds mixed_scopes ]
+             @ List.map (fun b -> pinned_with seeds (batch_of_one b)) backends
+             @ List.map (fun b -> pinned_with seeds (against_reference b)) reference_backends
+           ))
          seed_matrix)

@@ -233,9 +233,7 @@ let probe t ~now key =
     None
   | None -> None
 
-let serve_hit t ~scope ~epoch node =
-  detach t node;
-  push_front t node;
+let note_hit t ~scope ~epoch decision =
   t.hits <- t.hits + 1;
   Grid_obs.Obs.incr t.obs "authz_cache_hits_total";
   (* The epoch the cached answer was computed under equals the epoch
@@ -243,8 +241,13 @@ let serve_hit t ~scope ~epoch node =
      stale-epoch violation the monitor can spot from this event. *)
   Grid_obs.Obs.emit t.obs ~layer:"cache" "cache.hit"
     [ ("scope", scope); ("epoch", string_of_int epoch);
-      ("outcome", Callout.outcome_label node.value) ];
-  node.value
+      ("outcome", Callout.outcome_label decision) ];
+  decision
+
+let serve_hit t ~scope ~epoch node =
+  detach t node;
+  push_front t node;
+  note_hit t ~scope ~epoch node.value
 
 let store t ~now ~credential key decision =
   if cacheable decision then begin
@@ -349,17 +352,11 @@ let with_cache_many t ?(scope = "authz") (backend : Callout.Batch.t) : Callout.B
         entries
     end;
     (* Fan representative answers out to within-batch duplicates; each
-       counts as the hit it would have been on the sequential path. *)
+       counts as the hit it would have been asked one by one. *)
     List.iter
       (fun (i, slot) ->
         let rep_index, _ = entries.(slot) in
-        let decision = results.(rep_index) in
-        results.(i) <- decision;
-        t.hits <- t.hits + 1;
-        Grid_obs.Obs.incr t.obs "authz_cache_hits_total";
-        Grid_obs.Obs.emit t.obs ~layer:"cache" "cache.hit"
-          [ ("scope", scope); ("epoch", string_of_int epoch);
-            ("outcome", Callout.outcome_label decision) ])
+        results.(i) <- note_hit t ~scope ~epoch results.(rep_index))
       !dups;
     if !bypasses > 0 then begin
       t.bypasses <- t.bypasses + !bypasses;

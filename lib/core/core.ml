@@ -62,7 +62,9 @@ module Testbed = struct
   let create () =
     Grid_util.Ids.reset ();
     let engine = Grid_sim.Engine.create () in
-    let ca = Grid_gsi.Ca.create ~now:(Grid_sim.Engine.now engine) "/O=Grid/CN=Testbed CA" in
+    let ca =
+      Grid_gsi.Ca.create ~now:(Grid_sim.Engine.now engine) "/O=Grid/CN=Testbed CA"
+    in
     let trust = Grid_gsi.Ca.Trust_store.create () in
     Grid_gsi.Ca.Trust_store.add trust (Grid_gsi.Ca.certificate ca);
     { engine; ca; trust; obs = Grid_obs.Obs.of_engine engine; users = [] }
@@ -86,8 +88,8 @@ module Testbed = struct
     | None -> invalid_arg ("Testbed.user: unknown user " ^ dn_string)
 
   let make_resource ?(name = "resource") ?nodes ?cpus_per_node ?queues ?gridmap
-      ?dynamic_accounts ?gatekeeper_pep ?allocation
-      ?network ?request_timeout ?authz_cache ?store ?sts ~backend t =
+      ?dynamic_accounts ?gatekeeper_pep ?allocation ?network ?request_timeout ?authz_cache
+      ?store ?sts ~backend t =
     let pep, mode =
       match backend with
       | Baseline -> (None, None)

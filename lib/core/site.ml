@@ -44,8 +44,8 @@ type t = {
 }
 
 let resource ?queues ?(nodes = 4) ?(cpus_per_node = 8) ?(gridmap = Grid_gsi.Gridmap.empty)
-    ?dynamic_accounts ?gatekeeper_pep ?allocation ?network
-    ?request_timeout ?authz_cache ?store ?sts ?pep ?mode ~name ~engine ~trust ~obs () =
+    ?dynamic_accounts ?gatekeeper_pep ?allocation ?network ?request_timeout ?authz_cache
+    ?store ?sts ?pep ?mode ~name ~engine ~trust ~obs () =
   let now () = Grid_sim.Engine.now engine in
   let epoch = Option.map (fun p -> p.epoch) pep in
   let revision = Option.bind pep (fun p -> p.revision) in

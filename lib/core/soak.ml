@@ -132,10 +132,10 @@ let request_of_event (e : Grid_obs.Event.t) : Grid_policy.Types.request option =
    at that epoch. Flat-file epochs re-evaluate their own compilation of
    the sources, a batch of one at a time (compiling draws policy epochs
    from the process-wide counter, and the campaign transcripts print
-   those epochs, so the oracle keeps compiling); ReBAC epochs re-expand the tuple graph of the plan compiled at the
-   reload. Either way a decision event that flushes after a churn is
-   judged against the policy it was actually decided under, not
-   today's. *)
+   those epochs, so the oracle keeps compiling); ReBAC epochs re-expand
+   the tuple graph of the plan compiled at the reload. Either way a
+   decision event that flushes after a churn is judged against the
+   policy it was actually decided under, not today's. *)
 type answerer = Grid_policy.Types.request -> bool option
 
 let flat_file_answerer sources : answerer =

@@ -238,7 +238,8 @@ let admit t ~requester ~credential ~contact =
     | Some credential -> begin
       match Gatekeeper.authenticate t.gatekeeper credential with
       | Error e ->
-        Error (Protocol.Management_authentication_failed (Grid_gsi.Authn.error_to_string e))
+        Error
+          (Protocol.Management_authentication_failed (Grid_gsi.Authn.error_to_string e))
       | Ok ctx ->
         if not (Grid_gsi.Dn.equal ctx.Grid_gsi.Authn.peer requester) then
           Error
@@ -303,7 +304,9 @@ let manage_many_direct t (requests : manage_request array) :
       let ready = ref [] in
       for i = 0 to n - 1 do
         let r = requests.(i) in
-        match admit t ~requester:r.requester ~credential:r.credential ~contact:r.contact with
+        match
+          admit t ~requester:r.requester ~credential:r.credential ~contact:r.contact
+        with
         | Error e -> results.(i) <- Error e
         | Ok jmi -> ready := (i, jmi) :: !ready
       done;

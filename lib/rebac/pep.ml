@@ -103,4 +103,5 @@ let batch t : Grid_callout.Callout.Batch.t =
   in
   Grid_callout.Callout.Batch.of_many many
 
-let of_sources ?obs sources = Grid_callout.Callout.Batch.check (batch (create ?obs sources))
+let of_sources ?obs sources =
+  Grid_callout.Callout.Batch.check (batch (create ?obs sources))

@@ -307,7 +307,11 @@ let with_cache_many t ?(scope = "authz") (backend : Callout.Batch.t) : Callout.B
        [None] marks a credential bypass). *)
     let sub = ref [] in
     let sub_count = ref 0 in
-    let rep_slot : (string, int) Hashtbl.t = Hashtbl.create (min n 16) in
+    (* A batch of one holds no duplicate, so it gets no representative
+       table. *)
+    let rep_slot : (string, int) Hashtbl.t option =
+      if n > 1 then Some (Hashtbl.create (min n 16)) else None
+    in
     let dups = ref [] in
     let bypasses = ref 0 in
     let misses = ref 0 in
@@ -325,13 +329,13 @@ let with_cache_many t ?(scope = "authz") (backend : Callout.Batch.t) : Callout.B
         match probe t ~now key with
         | Some node -> results.(i) <- serve_hit t ~scope ~epoch node
         | None -> begin
-          match Hashtbl.find_opt rep_slot key with
+          match Option.bind rep_slot (fun slots -> Hashtbl.find_opt slots key) with
           | Some slot -> dups := (i, slot) :: !dups
           | None ->
             incr misses;
             Grid_obs.Obs.emit t.obs ~layer:"cache" "cache.miss"
               [ ("scope", scope); ("epoch", string_of_int epoch) ];
-            Hashtbl.add rep_slot key !sub_count;
+            Option.iter (fun slots -> Hashtbl.add slots key !sub_count) rep_slot;
             sub := (i, Some key) :: !sub;
             incr sub_count
         end

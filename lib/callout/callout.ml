@@ -157,11 +157,6 @@ module Batch = struct
   let evaluate_many b qs = if Array.length qs = 0 then [||] else b.many qs
 end
 
-(* Full observability wrapper: the callout is the paper's PEP seam, so this
-   is where every authorization decision is counted and timed. The span
-   nests under whatever stage is current (the JMI's start/manage span),
-   and the decision lands in authz_decisions_total split by action,
-   outcome and backend. *)
 (* The label vocabulary is a fixed four-element set; labels are drawn
    from one interned array so [outcome_label] never allocates and every
    metric carrying an outcome shares the same string values. *)
@@ -218,7 +213,7 @@ let decision_attrs ?epoch ~backend ~action (q : query) decision =
 
 (* Metric label lists for the instrumented hot path, preallocated per
    (action, outcome) when the wrapper is built: the action and outcome
-   vocabularies are closed, so the per-decision cost is two array loads
+   vocabularies are closed, so the per-decision cost is an array load
    instead of a fresh three-pair association list per call. *)
 let action_slot : Grid_policy.Types.Action.t -> int = function
   | Grid_policy.Types.Action.Start -> 0
@@ -226,84 +221,56 @@ let action_slot : Grid_policy.Types.Action.t -> int = function
   | Grid_policy.Types.Action.Information -> 2
   | Grid_policy.Types.Action.Signal -> 3
 
-let decision_label_table ~backend =
-  let actions = Array.of_list Grid_policy.Types.Action.all in
-  Array.map
-    (fun action ->
-      let action = Grid_policy.Types.Action.to_string action in
-      Array.map
-        (fun outcome -> [ ("backend", backend); ("action", action); ("outcome", outcome) ])
-        outcome_labels)
-    actions
+let outcomes = Array.length outcome_labels
 
-let span_attr_table ~backend =
-  Array.of_list
+(* Indexed [action_slot * outcomes + outcome_index]. *)
+let decision_label_table ~backend =
+  Array.concat
     (List.map
        (fun action ->
-         [ ("backend", backend); ("action", Grid_policy.Types.Action.to_string action) ])
+         let action = Grid_policy.Types.Action.to_string action in
+         Array.map
+           (fun outcome -> [ ("backend", backend); ("action", action); ("outcome", outcome) ])
+           outcome_labels)
        Grid_policy.Types.Action.all)
 
-let instrument ?(backend = "pep") ?epoch ~obs (c : t) : t =
-  if not (Grid_obs.Obs.enabled obs) then c
-  else begin
-    let labels = decision_label_table ~backend in
-    let span_attrs = span_attr_table ~backend in
-    fun q ->
-      let slot = action_slot q.action in
-      let action = Grid_policy.Types.Action.to_string q.action in
-      let decision =
-        Grid_obs.Obs.with_span obs ~attrs:span_attrs.(slot) "authz.callout"
-          (fun span ->
-            let decision = c q in
-            Grid_obs.Span.set_attr span "outcome" (outcome_label decision);
-            decision)
-      in
-      Grid_obs.Obs.incr obs ~labels:labels.(slot).(outcome_index decision)
-        "authz_decisions_total";
-      Grid_obs.Obs.emit obs ~layer:"callout" "authz.decision"
-        (decision_attrs ?epoch ~backend ~action q decision);
-      decision
-  end
-
-(* Batched sibling of {!instrument}. The whole batch runs under one
-   ["authz.batch"] span; counters are incremented in bulk per
-   (action, outcome) cell, but the ["authz.decision"] wide event is
+(* Full observability wrapper: the callout is the paper's PEP seam, so
+   this is where every authorization decision is counted and timed. One
+   authorization pass — a single start or management question is a
+   batch of one — runs under one ["authz.callout"] span nested under
+   whatever stage is current (the JMI's start span, the gatekeeper's
+   submit span, the request's root); counters are incremented in bulk
+   per (action, outcome) cell, but the ["authz.decision"] wide event is
    still emitted per decision — the online safety monitor re-derives
    each answer from that record, so batching must not thin it out. *)
-let instrument_batch ?(backend = "pep") ?epoch ~obs (b : Batch.t) : Batch.t =
+let instrument ?(backend = "pep") ?epoch ~obs (b : Batch.t) : Batch.t =
   if not (Grid_obs.Obs.enabled obs) then b
   else begin
-    let single = instrument ~backend ?epoch ~obs b.Batch.single in
     let labels = decision_label_table ~backend in
-    let many qs =
-      let n = Array.length qs in
-      let decisions =
-        Grid_obs.Obs.with_span obs
-          ~attrs:[ ("backend", backend); ("size", string_of_int n) ]
-          "authz.batch"
-          (fun _ -> b.Batch.many qs)
-      in
-      let counts = Array.make_matrix 4 (Array.length outcome_labels) 0 in
-      Array.iteri
-        (fun i q ->
-          let decision = decisions.(i) in
-          let a = action_slot q.action and o = outcome_index decision in
-          counts.(a).(o) <- counts.(a).(o) + 1;
-          Grid_obs.Obs.emit obs ~layer:"callout" "authz.decision"
-            (decision_attrs ?epoch ~backend
-               ~action:(Grid_policy.Types.Action.to_string q.action)
-               q decision))
-        qs;
-      Array.iteri
-        (fun a per_outcome ->
-          Array.iteri
-            (fun o count ->
-              if count > 0 then
-                Grid_obs.Obs.incr obs ~by:(float_of_int count) ~labels:labels.(a).(o)
-                  "authz_decisions_total")
-            per_outcome)
-        counts;
-      decisions
-    in
-    Batch.make ~single ~many
+    (* Span attributes print in reverse: [backend=... size=...]. *)
+    let one = [ ("size", "1"); ("backend", backend) ] in
+    Batch.of_many (fun qs ->
+        let n = Array.length qs in
+        let attrs = if n = 1 then one else [ ("size", string_of_int n); ("backend", backend) ] in
+        let decisions =
+          Grid_obs.Obs.with_span obs ~attrs "authz.callout" (fun _ -> b.Batch.many qs)
+        in
+        let counts = Array.make (Array.length labels) 0 in
+        Array.iteri
+          (fun i q ->
+            let decision = decisions.(i) in
+            let cell = (action_slot q.action * outcomes) + outcome_index decision in
+            counts.(cell) <- counts.(cell) + 1;
+            Grid_obs.Obs.emit obs ~layer:"callout" "authz.decision"
+              (decision_attrs ?epoch ~backend
+                 ~action:(Grid_policy.Types.Action.to_string q.action)
+                 q decision))
+          qs;
+        Array.iteri
+          (fun cell count ->
+            if count > 0 then
+              Grid_obs.Obs.incr obs ~by:(float_of_int count) ~labels:labels.(cell)
+                "authz_decisions_total")
+          counts;
+        decisions)
   end

@@ -93,8 +93,8 @@ module Batch : sig
   }
 
   val make : single:callout -> many:(query array -> decision array) -> t
-  (** Both lanes by hand, for wrappers that must treat the two
-      differently (a timer per lane, {!instrument_batch}). [many] must be
+  (** Both lanes by hand, for a wrapper that must tell them apart (a
+      timer per lane); nothing in the library needs that. [many] must be
       element-wise equivalent to mapping [single] and must return the
       answers in request order. *)
 
@@ -119,22 +119,16 @@ val flaky : rng:Grid_util.Rng.t -> failure_probability:float -> t -> t
 (** Deterministic fault injector: fail with [System_error] at the given
     probability, sampled from the caller's seeded stream. *)
 
-val instrument : ?backend:string -> ?epoch:(unit -> int) -> obs:Grid_obs.Obs.t -> t -> t
-(** The timed sibling of {!counting}: wrap a callout so every invocation
-    opens an ["authz.callout"] span, increments
-    [authz_decisions_total{action,outcome,backend}] and emits an
-    ["authz.decision"] wide event carrying the full request, the
-    outcome, the policy epoch sampled from [epoch] and the requesting
-    credential's expiry — the record the online safety monitor checks.
-    A disabled observer returns the callout unchanged. *)
-
-val instrument_batch :
+val instrument :
   ?backend:string -> ?epoch:(unit -> int) -> obs:Grid_obs.Obs.t -> Batch.t -> Batch.t
-(** Batched sibling of {!instrument}, and the one place the two lanes
-    stay apart above the PEPs: the single lane is instrumented
-    per-decision as {!instrument} does (an ["authz.callout"] span nested
-    under the caller's); the many lane runs the whole batch under one
-    ["authz.batch"] span and bulk-increments
-    [authz_decisions_total{action,outcome,backend}] per cell, but still
-    emits one ["authz.decision"] wide event per decision — the safety
-    monitor's input must not be thinned out by batching. *)
+(** The timed sibling of {!counting}, and the one instrumentation
+    wrapper above the PEPs. Every authorization pass — a single start or
+    management question is a batch of one — runs under one
+    ["authz.callout"] span carrying [backend] and [size] and nested under
+    the caller's, bulk-increments
+    [authz_decisions_total{action,outcome,backend}] per cell, and emits
+    one ["authz.decision"] wide event per decision carrying the full
+    request, the outcome, the policy epoch sampled from [epoch] and the
+    requesting credential's expiry — the record the online safety
+    monitor checks, which batching must not thin out. A disabled
+    observer returns the batch unchanged. *)

@@ -86,13 +86,19 @@ module Compiled = struct
      of one): structurally identical questions are collapsed once, up
      front, so the per-source pipeline and the denial interning each run
      once per *distinct* request rather than once per query — the
-     dominant saving on the repetitive streams job managers emit.
+     dominant saving on the repetitive streams job managers emit. A
+     batch of one holds no duplicate, so it skips the dedupe table.
      [Combine.evaluate_compiled_many] still sorts and groups what
      remains by subject. *)
   let batch t : Callout.Batch.t =
+    let decide requests =
+      Array.map (intern_decision t.interned)
+        (Grid_policy.Combine.evaluate_compiled_many ?obs:t.obs t.sources requests)
+    in
     let many qs =
       let n = Array.length qs in
       if n = 0 then [||]
+      else if n = 1 then decide [| Callout.to_policy_request qs.(0) |]
       else begin
         let requests = Array.map Callout.to_policy_request qs in
         let rep = Array.make n 0 in
@@ -110,11 +116,7 @@ module Compiled = struct
             distinct_rev := requests.(i) :: !distinct_rev;
             incr count
         done;
-        let distinct = Array.of_list (List.rev !distinct_rev) in
-        let answers =
-          Array.map (intern_decision t.interned)
-            (Grid_policy.Combine.evaluate_compiled_many ?obs:t.obs t.sources distinct)
-        in
+        let answers = decide (Array.of_list (List.rev !distinct_rev)) in
         Array.init n (fun i -> answers.(rep.(i)))
       end
     in

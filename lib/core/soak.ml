@@ -129,21 +129,16 @@ let request_of_event (e : Grid_obs.Event.t) : Grid_policy.Types.request option =
 
 (* The campaign's policy history: for each epoch a PEP announced, a
    closure re-deriving the policy answer from the engine that was live
-   at that epoch. Flat-file epochs re-evaluate their own compilation of
-   the sources, a batch of one at a time (compiling draws policy epochs
-   from the process-wide counter, and the campaign transcripts print
-   those epochs, so the oracle keeps compiling); ReBAC epochs re-expand
-   the tuple graph of the plan compiled at the reload. Either way a
+   at that epoch. Flat-file epochs re-evaluate the sources through the
+   uncompiled reference evaluator, so the oracle shares no index with
+   the PEP it judges; ReBAC epochs re-expand the tuple graph of the plan
+   compiled at the reload. Either way a
    decision event that flushes after a churn is judged against the
    policy it was actually decided under, not today's. *)
 type answerer = Grid_policy.Types.request -> bool option
 
 let flat_file_answerer sources : answerer =
-  let compiled = Grid_policy.Combine.compile_sources sources in
-  fun request ->
-    Some
-      (Grid_policy.Combine.is_permit
-         (Grid_policy.Combine.evaluate_compiled_many compiled [| request |]).(0))
+ fun request -> Some (Grid_policy.Combine.is_permit (Grid_policy.Combine.evaluate sources request))
 
 let rebac_answerer sources : answerer =
   let plan = Grid_rebac.Compile.of_sources sources in

@@ -29,9 +29,6 @@ type t = {
 
 let create ?gatekeeper_pep ?allocation ~name ~trust ~mapper ~mode ~lrm ~engine ~audit
     ~trace ~obs () =
-  let gatekeeper_pep =
-    Option.map (Grid_callout.Callout.instrument ~backend:"gatekeeper" ~obs) gatekeeper_pep
-  in
   { name; trust; mapper; mode; gatekeeper_pep; allocation; lrm; engine; audit; trace; obs;
     outstanding_challenges = Hashtbl.create 16 }
 

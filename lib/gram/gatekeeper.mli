@@ -21,10 +21,10 @@ val create :
     the gatekeeper decision domain (Section 5.2); it sees job
     invocations only — management requests bypass the Gatekeeper, which
     is why the paper's primary PEP lives in the Job Manager. It is
-    wrapped with [Grid_callout.Callout.instrument] under backend
-    ["gatekeeper"]. [obs] (use [Grid_obs.Obs.noop] to disable) spans the
-    submission path and counts authentications, account mappings, and
-    submissions. *)
+    consulted as given: [Resource.create] instruments it (and caches it
+    when asked) the way it does the Job Manager's callout. [obs] (use
+    [Grid_obs.Obs.noop] to disable) spans the submission path and counts
+    authentications, account mappings, and submissions. *)
 
 val new_challenge : t -> string
 (** Mint a single-use authentication challenge; the submitting credential

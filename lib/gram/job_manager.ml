@@ -371,9 +371,7 @@ let management_query t ~requester ~(credential : Grid_gsi.Credential.t option)
     jobtag = t.jobtag }
 
 (* The post-authorization half of a management request: audit the
-   decision and, when permitted, perform the action. Shared by the
-   single-shot path and the batched path, so both audit and act
-   identically. *)
+   decision and, when permitted, perform the action. *)
 let manage_decided t ~requester (action : Protocol.management_action)
     (decision : Grid_callout.Callout.decision) :
     (Protocol.management_reply, Protocol.management_error) result =
@@ -389,16 +387,9 @@ let manage_decided t ~requester (action : Protocol.management_action)
       ~subject:requester ~job_id:t.contact ~outcome:Grid_audit.Audit.Success action_name;
     perform t action
 
-let manage_inner t ~requester ?(credential : Grid_gsi.Credential.t option)
-    (action : Protocol.management_action) :
-    (Protocol.management_reply, Protocol.management_error) result =
-  let query = management_query t ~requester ~credential action in
-  manage_decided t ~requester action (authorize t query)
-
-(* Span/counter/event wrapper around one management request; shared by
-   [manage] and the batched path so every request lands in
-   [management_requests_total] and the ["jmi.manage"] event stream the
-   same way, batched or not. *)
+(* Span/counter/event wrapper around one management request of a
+   batch: every request lands in [management_requests_total] and the
+   ["jmi.manage"] event stream on its own, batched or not. *)
 let observed_manage t (action : Protocol.management_action) run =
   if not (Grid_obs.Obs.enabled t.obs) then run ()
   else begin
@@ -423,19 +414,15 @@ let observed_manage t (action : Protocol.management_action) run =
         result)
   end
 
-let manage t ~requester ?credential action =
-  observed_manage t action (fun () -> manage_inner t ~requester ?credential action)
-
-(* --- Batched management ------------------------------------------------ *)
-
-(* Authorize-and-perform a whole batch of management requests, possibly
-   spanning many JMIs. Authorization goes through the Extended mode's
-   many lane: items sharing one (physically equal) batch callout — the
-   common case, since a resource wires one mode into every JMI — are
-   authorized in a single [evaluate_many] call; baseline items keep the
-   inline initiator check. Every item is then audited/performed through
-   the same [manage_decided]/[observed_manage] pair as the single-shot
-   path, and the result array preserves request order. *)
+(* Authorize-and-perform a batch of management requests, possibly
+   spanning many JMIs; a single request is a batch of one. Authorization
+   goes through the Extended mode's many lane: items sharing one
+   (physically equal) batch callout — the common case, since a resource
+   wires one mode into every JMI — are authorized in a single
+   [evaluate_many] call; baseline items keep the inline initiator check.
+   Every item is then audited and performed through [manage_decided]
+   under its own [observed_manage] span, and the result array preserves
+   request order. *)
 let manage_many
     (items :
       (t * Grid_gsi.Dn.t * Grid_gsi.Credential.t option * Protocol.management_action)
@@ -473,3 +460,6 @@ let manage_many
     (fun i (t, requester, _credential, action) ->
       observed_manage t action (fun () -> manage_decided t ~requester action decisions.(i)))
     items
+
+let manage t ~requester ?credential action =
+  (manage_many [| (t, requester, credential, action) |]).(0)

@@ -77,13 +77,15 @@ val manage :
   Protocol.management_action ->
   (Protocol.management_reply, Protocol.management_error) result
 (** Authorize the requester (owner-only in baseline mode; callout in
-    extended mode), then perform the action against the LRM. *)
+    extended mode), then perform the action against the LRM: {!manage_many}
+    asked a batch of one. *)
 
 val manage_many :
   (t * Grid_gsi.Dn.t * Grid_gsi.Credential.t option * Protocol.management_action) array ->
   (Protocol.management_reply, Protocol.management_error) result array
-(** Batched {!manage} across (possibly many) JMIs: items whose extended
-    modes share one batch callout are authorized in a single
-    [evaluate_many] pass, baseline items keep the inline initiator
-    check, and every item is audited, performed, and counted exactly as
-    the single-shot path would. Results come back in request order. *)
+(** Management across (possibly many) JMIs, the one management path:
+    items whose extended modes share one batch callout are authorized in
+    a single [evaluate_many] pass (one ["authz.callout"] span), baseline
+    items keep the inline initiator check, and every item is then
+    audited, performed, spanned as ["jmi.manage"] and counted on its
+    own. Results come back in request order. *)

@@ -13,11 +13,11 @@ type t =
   | Gt2_baseline
   | Extended of {
       authorization : Grid_callout.Callout.Batch.t;
-      (* Two-lane callout: the single lane answers the per-request
-         consultations, the many lane lets the job manager authorize a
-         whole management batch in one amortized pass. Plain callouts
-         enter through [extended], which lifts them with the derived
-         (map-the-single-lane) many lane. *)
+      (* Batched callout: the job manager asks it every start and
+         management question, a single one as a batch of one, so a
+         whole management batch is authorized in one amortized pass.
+         Plain callouts enter through [extended], which lifts them with
+         the derived (map-the-single-lane) many lane. *)
       (* Optional policy-derived-enforcement hook (the paper's Section 7
          "GT3" direction): given a query that was just authorized,
          return the policy clause the decision rested on so the JMI can
@@ -61,7 +61,7 @@ let instrument ?epoch ~obs = function
   | Extended { authorization; advice; backend } ->
     Extended
       { authorization =
-          Grid_callout.Callout.instrument_batch ~backend ?epoch ~obs authorization;
+          Grid_callout.Callout.instrument ~backend ?epoch ~obs authorization;
         advice;
         backend }
 

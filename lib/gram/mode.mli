@@ -4,8 +4,8 @@ type t =
   | Gt2_baseline
   | Extended of {
       authorization : Grid_callout.Callout.Batch.t;
-          (** two-lane callout: per-request consultations on the single
-              lane, whole management batches on the many lane *)
+          (** batched callout: every consultation goes through its many
+              lane, a single request as a batch of one *)
       advice : (Grid_callout.Callout.query -> Grid_policy.Types.clause option) option;
           (** policy-derived-enforcement hook: the clause an authorized
               decision rested on, for sandbox configuration *)
@@ -40,10 +40,10 @@ val extended_from_config : Grid_callout.Config.t -> Grid_callout.Registry.t -> t
     misconfigured callout fails closed at invocation time. *)
 
 val instrument : ?epoch:(unit -> int) -> obs:Grid_obs.Obs.t -> t -> t
-(** Wrap the Extended callout with [Grid_callout.Callout.instrument] under
-    the mode's backend label; the baseline is returned unchanged. [epoch]
-    (typically [File_pep.Compiled.epoch]) stamps every decision event
-    with the policy epoch it was made under. *)
+(** Wrap the Extended callout with {!Grid_callout.Callout.instrument}
+    under the mode's backend label; the baseline is returned unchanged.
+    [epoch] (typically [File_pep.Compiled.epoch]) stamps every decision
+    event with the policy epoch it was made under. *)
 
 val with_cache : cache:Grid_callout.Cache.t -> t -> t
 (** Memoize the Extended callout through an authorization decision cache

@@ -76,16 +76,20 @@ let create ?(name = "resource") ?network ?gatekeeper_pep ?allocation ?obs
     match authz_cache with None -> mode | Some cache -> Mode.with_cache ~cache mode
   in
   let mode = Mode.instrument ?epoch:policy_epoch ~obs mode in
-  (* The gatekeeper PEP shares the cache under its own scope (it answers
-     from different policy than the job manager's callout). *)
+  (* The gatekeeper PEP is composed the same way, sharing the cache
+     under its own scope (it answers from different policy than the job
+     manager's callout). *)
   let gatekeeper_pep =
-    match (gatekeeper_pep, authz_cache) with
-    | Some pep, Some cache ->
-      Some
-        Grid_callout.(
-          Callout.Batch.check
-            (Cache.with_cache_many cache ~scope:"gatekeeper" (Callout.Batch.of_callout pep)))
-    | pep, _ -> pep
+    Option.map
+      (fun pep ->
+        let pep = Grid_callout.Callout.Batch.of_callout pep in
+        let pep =
+          match authz_cache with
+          | None -> pep
+          | Some cache -> Grid_callout.Cache.with_cache_many cache ~scope:"gatekeeper" pep
+        in
+        Grid_callout.Callout.(Batch.check (instrument ~backend:"gatekeeper" ~obs pep)))
+      gatekeeper_pep
   in
   let gatekeeper =
     Gatekeeper.create ?gatekeeper_pep ?allocation ~name:(name ^ ":gatekeeper") ~trust
@@ -271,18 +275,8 @@ let journal_management t ~requester ~contact action result =
              at = now t })
   | Protocol.Status -> ()
 
-let manage_direct t ~requester ?credential ~contact action =
-  Grid_obs.Obs.ensure_correlation t.obs (fun () ->
-      let result =
-        match admit t ~requester ~credential ~contact with
-        | Error e -> Error e
-        | Ok jmi -> Job_manager.manage jmi ~requester ?credential action
-      in
-      journal_management t ~requester ~contact action result;
-      result)
-
-(* One element of a management batch: the same inputs [manage_direct]
-   takes, as data. *)
+(* One element of a management batch: the inputs of one management
+   request, as data. *)
 type manage_request = {
   requester : Grid_gsi.Dn.t;
   credential : Grid_gsi.Credential.t option;
@@ -290,12 +284,12 @@ type manage_request = {
   action : Protocol.management_action;
 }
 
-(* Batched [manage_direct]: admit every request first, then
-   authorize-and-perform all surviving requests through
-   [Job_manager.manage_many] — one callout batch for the whole tick in
-   extended mode. Admission refusals answer in place without consuming a
-   callout, and journalling is the same as one by one. Results preserve
-   request order. *)
+(* The management entry point; a single request is a batch of one.
+   Admit every request first, then authorize-and-perform all surviving
+   requests through [Job_manager.manage_many] — one callout batch for
+   the whole tick in extended mode. Admission refusals answer in place
+   without consuming a callout, and journalling is the same as one by
+   one. Results preserve request order. *)
 let manage_many_direct t (requests : manage_request array) :
     (Protocol.management_reply, Protocol.management_error) result array =
   Grid_obs.Obs.ensure_correlation t.obs (fun () ->
@@ -326,6 +320,9 @@ let manage_many_direct t (requests : manage_request array) :
             results.(i))
         requests;
       results)
+
+let manage_direct t ~requester ?credential ~contact action =
+  (manage_many_direct t [| { requester; credential; contact; action } |]).(0)
 
 (* --- Crash and recovery ------------------------------------------------ *)
 

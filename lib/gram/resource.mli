@@ -109,9 +109,10 @@ val manage_direct :
   contact:string ->
   Protocol.management_action ->
   (Protocol.management_reply, Protocol.management_error) result
-(** When [credential] is given it is authenticated (chain, expiry,
-    revocation, single-use challenge) and must assert [requester];
-    credential-less calls are for in-process trusted callers only. *)
+(** {!manage_many_direct} asked a batch of one. When [credential] is
+    given it is authenticated (chain, expiry, revocation, single-use
+    challenge) and must assert [requester]; credential-less calls are
+    for in-process trusted callers only. *)
 
 type manage_request = {
   requester : Grid_gsi.Dn.t;
@@ -126,12 +127,12 @@ val manage_many_direct :
   t ->
   manage_request array ->
   (Protocol.management_reply, Protocol.management_error) result array
-(** Batched {!manage_direct}: every request is resolved and
+(** The one management path: every request is resolved and
     authenticated individually, then all surviving requests are
     authorized in one callout batch (the Extended mode's many lane) and
     performed. Element-wise the answers, audit records, and journal
-    entries match the single-shot path; results come back in request
-    order. *)
+    entries match asking the requests one by one; results come back in
+    request order. *)
 
 val submit :
   t ->

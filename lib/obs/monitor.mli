@@ -51,8 +51,8 @@ type oracle = Event.t -> bool option
 
 val oracle_for_backend : string -> oracle -> oracle
 (** Scope an oracle to decision events stamped with the given [backend]
-    label ({!Grid_callout.Callout.instrument}'s [?backend]); all other
-    events answer [None]. *)
+    label (the [?backend] of [Grid_callout.Callout.instrument], the one
+    wrapper that emits them); all other events answer [None]. *)
 
 val any_oracle : oracle list -> oracle
 (** First claiming oracle answers — compose one {!oracle_for_backend}

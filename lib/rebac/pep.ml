@@ -82,24 +82,28 @@ let callout_with ?consistency t : Grid_callout.Callout.t =
    job population — requests are plain data, so structurally equal
    requests are decided once (one graph expansion per distinct question,
    all within one snapshot) and the shared decision value scattered to
-   every duplicate slot, in request order. *)
+   every duplicate slot, in request order. A batch of one holds no
+   duplicate, so it skips the dedupe table. *)
 let batch t : Grid_callout.Callout.Batch.t =
   let many qs =
     let n = Array.length qs in
-    let results = Array.make n Grid_callout.Callout.permitted in
-    let seen : (Grid_policy.Types.request, Grid_callout.Callout.decision) Hashtbl.t =
-      Hashtbl.create (min n 64)
-    in
-    for i = 0 to n - 1 do
-      let request = Grid_callout.Callout.to_policy_request qs.(i) in
-      match Hashtbl.find_opt seen request with
-      | Some decision -> results.(i) <- decision
-      | None ->
-        let decision = decide_request t request in
-        Hashtbl.add seen request decision;
-        results.(i) <- decision
-    done;
-    results
+    if n = 1 then [| decide_request t (Grid_callout.Callout.to_policy_request qs.(0)) |]
+    else begin
+      let results = Array.make n Grid_callout.Callout.permitted in
+      let seen : (Grid_policy.Types.request, Grid_callout.Callout.decision) Hashtbl.t =
+        Hashtbl.create (min n 64)
+      in
+      for i = 0 to n - 1 do
+        let request = Grid_callout.Callout.to_policy_request qs.(i) in
+        match Hashtbl.find_opt seen request with
+        | Some decision -> results.(i) <- decision
+        | None ->
+          let decision = decide_request t request in
+          Hashtbl.add seen request decision;
+          results.(i) <- decision
+      done;
+      results
+    end
   in
   Grid_callout.Callout.Batch.of_many many
 

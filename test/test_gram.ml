@@ -35,8 +35,8 @@ let fig3_sources () =
 
 let gridmap_text = Printf.sprintf "%S keahey\n%S bliu\n" kate_dn bo_dn
 
-let build ?static_limits ?dynamic_accounts ?gatekeeper_pep ?network_of ?request_timeout
-    ?(nodes = 2) ?(cpus_per_node = 4) mode_of =
+let build ?static_limits ?dynamic_accounts ?gatekeeper_pep ?authz_cache ?network_of
+    ?request_timeout ?(nodes = 2) ?(cpus_per_node = 4) mode_of =
   Grid_util.Ids.reset ();
   Grid_crypto.Keypair.reset_keystore ();
   let engine = Grid_sim.Engine.create () in
@@ -53,8 +53,14 @@ let build ?static_limits ?dynamic_accounts ?gatekeeper_pep ?network_of ?request_
     Grid_accounts.Mapper.create ?pool ?static_limits (Grid_gsi.Gridmap.parse gridmap_text)
   in
   let network = Option.map (fun f -> f engine) network_of in
+  let authz_cache =
+    Option.map
+      (fun capacity ->
+        Grid_callout.Cache.create ~capacity ~now:(fun () -> Grid_sim.Engine.now engine) ())
+      authz_cache
+  in
   let resource =
-    Resource.create ?gatekeeper_pep ?network ?request_timeout ~trust ~mapper
+    Resource.create ?gatekeeper_pep ?authz_cache ?network ?request_timeout ~trust ~mapper
       ~mode:(mode_of ()) ~lrm ~engine ()
   in
   let kate = Client.create ~identity:(Grid_gsi.Identity.create ~ca ~now:0.0 kate_dn) ~resource () in
@@ -564,6 +570,41 @@ let test_gatekeeper_pep_in_baseline_mode () =
   | Error (Protocol.Authorization_failed _) -> ()
   | _ -> Alcotest.fail "gatekeeper PEP inactive in baseline mode"
 
+(* The gatekeeper PEP is instrumented like the job manager's callout:
+   every decision, served by the cache or not, lands in
+   [authz_decisions_total] under backend ["gatekeeper"]. *)
+let test_gatekeeper_pep_decisions_counted () =
+  List.iter
+    (fun authz_cache ->
+      let gk_pep =
+        Grid_callout.File_pep.of_texts
+          [ ("site", org ^ ": &(action = start)(count < 3)") ]
+      in
+      let w =
+        build ~gatekeeper_pep:gk_pep ?authz_cache (fun () ->
+            Mode.extended Grid_callout.Callout.permit_all)
+      in
+      ignore (ok_submit (Client.submit_sync w.kate ~rsl:"&(executable=/bin/sim)(count=2)"));
+      ignore (ok_submit (Client.submit_sync w.kate ~rsl:"&(executable=/bin/sim)(count=2)"));
+      (match Client.submit_sync w.kate ~rsl:"&(executable=/bin/sim)(count=3)" with
+      | Error (Protocol.Authorization_failed _) -> ()
+      | _ -> Alcotest.fail "gatekeeper PEP did not deny");
+      let variant = if Option.is_some authz_cache then "cached" else "uncached" in
+      let decided outcome =
+        Grid_obs.Metrics.counter_value
+          (Grid_obs.Obs.metrics (Resource.obs w.resource))
+          ~labels:[ ("backend", "gatekeeper"); ("action", "start"); ("outcome", outcome) ]
+          "authz_decisions_total"
+      in
+      Alcotest.(check (float 1e-9)) (variant ^ " permits") 2.0 (decided "permitted");
+      Alcotest.(check (float 1e-9)) (variant ^ " denials") 1.0 (decided "denied");
+      Option.iter
+        (fun cache ->
+          Alcotest.(check int) "repeat start served by the cache" 1
+            (Grid_callout.Cache.hits cache))
+        (Resource.authz_cache w.resource))
+    [ None; Some 64 ]
+
 let test_callout_invocation_counts () =
   let w = extended () in
   let reply = ok_submit (Client.submit_sync w.kate ~rsl:kate_transp) in
@@ -797,7 +838,9 @@ let () =
           Alcotest.test_case "composes with JM PEP" `Quick
             test_gatekeeper_pep_composes_with_jm_pep;
           Alcotest.test_case "works in baseline mode" `Quick
-            test_gatekeeper_pep_in_baseline_mode ] );
+            test_gatekeeper_pep_in_baseline_mode;
+          Alcotest.test_case "gatekeeper PEP decisions counted" `Quick
+            test_gatekeeper_pep_decisions_counted ] );
       ("callbacks", [ Alcotest.test_case "state transitions" `Quick test_state_callbacks ]);
       ( "faults",
         [ Alcotest.test_case "zero deadline" `Quick test_retry_zero_deadline;

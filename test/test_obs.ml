@@ -300,6 +300,121 @@ let test_end_to_end_spans () =
   Alcotest.(check bool) "forest renders" true
     (Grid_util.Str_search.contains rendered "gram.request")
 
+(* --- One authorization lane: a single request is a batch of one ------- *)
+
+let submit_ok client rsl =
+  match Core.Gram.Client.submit_sync client ~rsl with
+  | Ok reply -> reply.Core.Gram.Protocol.job_contact
+  | Error e -> Alcotest.fail (Core.Gram.Protocol.submit_error_to_string e)
+
+(* Every ["authz.decision"] event from here on, in emission order. *)
+let record_decisions obs =
+  let seen = ref [] in
+  Grid_obs.Event.subscribe (Obs.events obs) (fun e ->
+      if String.equal e.Grid_obs.Event.kind "authz.decision" then seen := e :: !seen);
+  fun () -> List.rev !seen
+
+let sorted_attrs (s : Span.span) = List.sort compare s.Span.attrs
+
+let test_single_manage_is_batch_of_one () =
+  let w = Core.Fusion.build () in
+  let obs = Core.Gram.Resource.obs w.Core.Fusion.resource in
+  let bo = Core.Fusion.bo_liu in
+  let decisions = record_decisions obs in
+  let contact =
+    submit_ok w.Core.Fusion.bo
+      "&(executable=test1)(directory=/sandbox/test)(jobtag=ADS)(count=2)(simduration=600)"
+  in
+  (* The epoch the start decision on the same PEP carried; compiling
+     draws it from a process-wide counter, so it is not pinned. *)
+  let epoch =
+    match decisions () with
+    | [ start ] -> Option.value ~default:"?" (Grid_obs.Event.attr start "epoch")
+    | es -> Alcotest.failf "expected one start decision, got %d" (List.length es)
+  in
+  (match Core.Gram.Client.manage_sync w.Core.Fusion.bo ~contact Core.Gram.Protocol.Status with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail (Core.Gram.Protocol.management_error_to_string e));
+  let tracer = Obs.tracer obs in
+  let manage_request =
+    List.filter
+      (fun s -> List.assoc_opt "kind" s.Span.attrs = Some "manage")
+      (Span.find tracer ~name:"gram.request")
+  in
+  (match manage_request with
+  | [ req ] ->
+    let children = Span.children tracer req in
+    Alcotest.(check (list string)) "stages under gram.request"
+      [ "gsi.authenticate"; "authz.callout"; "jmi.manage" ]
+      (List.map (fun s -> s.Span.name) children);
+    let callout = List.find (fun s -> s.Span.name = "authz.callout") children in
+    Alcotest.(check (list (pair string string))) "authz.callout attributes"
+      [ ("backend", "flat_file"); ("size", "1") ]
+      (sorted_attrs callout)
+  | _ -> Alcotest.fail "expected one manage gram.request span");
+  match List.tl (decisions ()) with
+  | [ e ] ->
+    Alcotest.(check (list (pair string string))) "authz.decision attributes"
+      [ ("backend", "flat_file"); ("action", "information"); ("outcome", "permitted");
+        ("subject", bo); ("epoch", epoch); ("job_id", contact); ("jobtag", "ADS");
+        ("jobowner", bo); ("cred_expiry", "43200.000") ]
+      e.Grid_obs.Event.attrs
+  | es -> Alcotest.failf "expected one authz.decision event, got %d" (List.length es)
+
+let test_management_batch_is_one_callout () =
+  let w = Core.Fusion.build () in
+  let resource = w.Core.Fusion.resource in
+  let obs = Core.Gram.Resource.obs resource in
+  let bo_job =
+    submit_ok w.Core.Fusion.bo
+      "&(executable=test1)(directory=/sandbox/test)(jobtag=ADS)(count=2)(simduration=600)"
+  in
+  let kate_job =
+    submit_ok w.Core.Fusion.kate
+      "&(executable=TRANSP)(directory=/sandbox/test)(jobtag=NFC)(count=4)(simduration=600)"
+  in
+  let dn = Core.Gsi.Dn.parse in
+  let requests =
+    Array.map
+      (fun (requester, contact, action) ->
+        { Core.Gram.Resource.requester = dn requester; credential = None; contact; action })
+      [| (Core.Fusion.bo_liu, bo_job, Core.Gram.Protocol.Status);
+         (Core.Fusion.kate_keahey, kate_job, Core.Gram.Protocol.Status);
+         (Core.Fusion.admin, bo_job, Core.Gram.Protocol.Status);
+         (Core.Fusion.bo_liu, kate_job, Core.Gram.Protocol.Cancel);
+         (Core.Fusion.admin, kate_job, Core.Gram.Protocol.Signal Core.Gram.Protocol.Suspend) |]
+  in
+  let metrics = Obs.metrics obs in
+  let decided_before = Metrics.counter_total metrics "authz_decisions_total" in
+  let callouts_before = List.length (Span.find (Obs.tracer obs) ~name:"authz.callout") in
+  let decisions = record_decisions obs in
+  ignore (Core.Gram.Resource.manage_many_direct resource requests);
+  (match
+     List.filteri
+       (fun i _ -> i >= callouts_before)
+       (Span.find (Obs.tracer obs) ~name:"authz.callout")
+   with
+  | [ span ] ->
+    Alcotest.(check (list (pair string string))) "one pass for the batch"
+      [ ("backend", "flat_file"); ("size", "5") ]
+      (sorted_attrs span)
+  | spans -> Alcotest.failf "expected one authz.callout span, got %d" (List.length spans));
+  Alcotest.(check (list (pair string string))) "one decision event per request, in order"
+    (Array.to_list
+       (Array.map
+          (fun (r : Core.Gram.Resource.manage_request) ->
+            ( Core.Gsi.Dn.to_string r.requester,
+              Core.Policy.Types.Action.to_string
+                (Core.Gram.Protocol.to_policy_action r.action) ))
+          requests))
+    (List.map
+       (fun e ->
+         let attr k = Option.value ~default:"?" (Grid_obs.Event.attr e k) in
+         (attr "subject", attr "action"))
+       (decisions ()));
+  Alcotest.(check (float 1e-9)) "authz_decisions_total cells sum to the batch" 5.0
+    (Metrics.counter_total metrics "authz_decisions_total" -. decided_before)
+
 let test_disabled_observer_changes_nothing () =
   let tb = Core.Testbed.create () in
   let user = Core.Testbed.add_user tb "/O=Grid/O=Demo/CN=Solo" in
@@ -347,4 +462,9 @@ let () =
         [ Alcotest.test_case "metric deltas" `Quick test_end_to_end_metrics;
           Alcotest.test_case "span structure" `Quick test_end_to_end_spans;
           Alcotest.test_case "disabled observer" `Quick
-            test_disabled_observer_changes_nothing ] ) ]
+            test_disabled_observer_changes_nothing ] );
+      ( "one-lane",
+        [ Alcotest.test_case "single manage is a batch of one" `Quick
+            test_single_manage_is_batch_of_one;
+          Alcotest.test_case "management batch is one callout" `Quick
+            test_management_batch_is_one_callout ] ) ]

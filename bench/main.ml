@@ -886,6 +886,7 @@ let t16_authz_cache () =
   Printf.printf "   divergence check: %d/%d queries disagree (must be 0); %s\n"
     !divergences trials
     (Fmt.str "%a" Callout.Cache.pp cache);
+  if !divergences > 0 then incr bench_failures;
   collected :=
     ("authz cache divergence", [ ("divergences", float_of_int !divergences) ]) :: !collected
 

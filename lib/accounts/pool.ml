@@ -28,19 +28,7 @@ type lease = {
   mutable expires_at : Grid_sim.Clock.time;
 }
 
-(* Hash every component: population DNs share long prefixes, and the
-   polymorphic hash stops after ten meaningful words. *)
-module Holders = Hashtbl.Make (struct
-  type t = Grid_gsi.Dn.t
-
-  let equal = Grid_gsi.Dn.equal
-
-  let hash dn =
-    List.fold_left
-      (fun h { Grid_gsi.Dn.attr; value } ->
-        Hashtbl.seeded_hash (Hashtbl.seeded_hash h attr) value)
-      0 dn
-end)
+module Holders = Hashtbl.Make (Grid_gsi.Dn)
 
 module Slots = Set.Make (Int)
 

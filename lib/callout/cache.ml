@@ -4,9 +4,11 @@
    action on a running job (Section 5.2), so the same (requester, action,
    job) question is asked over and over while a job is polled. Entries
    are keyed on everything the flat-file PEP's answer can depend on —
-   requester DN, action, job id, jobtag, jobowner, a stable fingerprint
-   of the submitted RSL — plus the policy epoch, so a policy reload
-   (epoch bump, see Compile) orphans every prior entry by construction.
+   requester DN, action, job id, jobtag, jobowner, the submitted RSL
+   clause — plus the policy epoch, so a policy reload (epoch bump, see
+   Compile) orphans every prior entry by construction. The key is a
+   record of those parts, taken from the query as they are and compared
+   structurally: nothing is rendered to build it.
 
    Safety rules, in decreasing order of importance:
 
@@ -27,8 +29,60 @@
    The LRU is an intrusive doubly-linked list over the hash table's
    nodes: hit, insert and eviction are all O(1). *)
 
+(* --- Keys -------------------------------------------------------------- *)
+
+(* Two different queries must never share a key — a shared key is a
+   cross-principal cache hit. Structural equality over the parts
+   themselves gives that whatever bytes a DN value holds; the
+   key-collision QCheck suite in [test_callout] pins it. *)
+type key = {
+  scope : string;
+  epoch : int;
+  revision : int option;
+  requester : Grid_gsi.Dn.t;
+  action : Grid_policy.Types.Action.t;
+  job_id : string option;
+  jobtag : string option;
+  job_owner : Grid_gsi.Dn.t option;
+  rsl : Grid_rsl.Ast.clause option;
+}
+
+let query_key ~scope ~epoch ?revision (q : Callout.query) =
+  { scope;
+    epoch;
+    revision;
+    requester = q.Callout.requester;
+    action = q.Callout.action;
+    job_id = q.Callout.job_id;
+    jobtag = q.Callout.jobtag;
+    job_owner = q.Callout.job_owner;
+    rsl = q.Callout.rsl }
+
+module Key_tbl = Hashtbl.Make (struct
+  type t = key
+
+  let equal = ( = )
+
+  (* DNs and the clause are folded part by part: the polymorphic hash
+     stops after ten meaningful words, and the DNs of one organization
+     differ only in their last components. *)
+  let hash k =
+    let h = Hashtbl.seeded_hash (Grid_gsi.Dn.hash k.requester) k.scope in
+    let h = Hashtbl.seeded_hash h k.epoch in
+    let h = Hashtbl.seeded_hash h k.revision in
+    let h = Hashtbl.seeded_hash h k.action in
+    let h = Hashtbl.seeded_hash h k.job_id in
+    let h = Hashtbl.seeded_hash h k.jobtag in
+    let h =
+      match k.job_owner with
+      | None -> h
+      | Some owner -> Hashtbl.seeded_hash h (Grid_gsi.Dn.hash owner)
+    in
+    match k.rsl with None -> h | Some clause -> List.fold_left Hashtbl.seeded_hash h clause
+end)
+
 type node = {
-  key : string;
+  key : key;
   value : Callout.decision;
   expires_at : float;
   mutable prev : node option;
@@ -44,7 +98,7 @@ type t = {
   extra_deadline : Grid_gsi.Credential.t -> float option;
   revoked : Grid_gsi.Credential.t -> bool;
   obs : Grid_obs.Obs.t;
-  table : (string, node) Hashtbl.t;
+  table : node Key_tbl.t;
   mutable head : node option; (* most recently used *)
   mutable tail : node option; (* least recently used *)
   mutable last_epoch : int option;
@@ -67,7 +121,7 @@ let create ?(capacity = 1024) ?(ttl = 300.0) ?(obs = Grid_obs.Obs.noop) ?epoch ?
     extra_deadline;
     revoked;
     obs;
-    table = Hashtbl.create (min capacity 1024);
+    table = Key_tbl.create (min capacity 1024);
     head = None;
     tail = None;
     last_epoch = None;
@@ -77,7 +131,7 @@ let create ?(capacity = 1024) ?(ttl = 300.0) ?(obs = Grid_obs.Obs.noop) ?epoch ?
     invalidations = 0;
     bypasses = 0 }
 
-let size t = Hashtbl.length t.table
+let size t = Key_tbl.length t.table
 let hits t = t.hits
 let misses t = t.misses
 let evictions t = t.evictions
@@ -100,12 +154,12 @@ let push_front t node =
 
 let remove_node t node =
   detach t node;
-  Hashtbl.remove t.table node.key
+  Key_tbl.remove t.table node.key
 
 (* --- Metrics ----------------------------------------------------------- *)
 
 let note_size t =
-  Grid_obs.Obs.set_gauge t.obs "authz_cache_size" (float_of_int (Hashtbl.length t.table))
+  Grid_obs.Obs.set_gauge t.obs "authz_cache_size" (float_of_int (Key_tbl.length t.table))
 
 let note_eviction t =
   t.evictions <- t.evictions + 1;
@@ -114,76 +168,15 @@ let note_eviction t =
 (* --- Invalidation ------------------------------------------------------ *)
 
 let invalidate t =
-  let n = Hashtbl.length t.table in
+  let n = Key_tbl.length t.table in
   if n > 0 then begin
-    Hashtbl.reset t.table;
+    Key_tbl.reset t.table;
     t.head <- None;
     t.tail <- None;
     t.invalidations <- t.invalidations + n;
     Grid_obs.Obs.incr t.obs ~by:(float_of_int n) "authz_cache_invalidations_total";
     note_size t
   end
-
-(* --- Keys -------------------------------------------------------------- *)
-
-(* One-slot physical-equality memo: workload generators and the job
-   manager hold on to the same clause value across the repeated queries
-   of a job's lifetime, so the (allocating) rendering happens once per
-   clause instead of once per lookup. Structural behavior is unchanged —
-   a memo hit returns the identical string the rendering would. *)
-let rsl_fingerprint_memo : (Grid_rsl.Ast.clause * string) option ref = ref None
-
-let rsl_fingerprint = function
-  | None -> ""
-  | Some clause -> begin
-    match !rsl_fingerprint_memo with
-    | Some (c, s) when c == clause -> s
-    | _ ->
-      let s = Grid_rsl.Ast.clause_to_string clause in
-      rsl_fingerprint_memo := Some (clause, s);
-      s
-  end
-
-(* Length-prefixed part encoding. Joining components with a separator
-   byte is not injective once a component can contain that byte (a
-   hand-built DN value may hold any byte, including '\x00' and '\x01'),
-   and two different queries must never share a key — a collision here
-   is a cross-principal cache hit. [<len>.<bytes>] is unambiguous
-   whatever the bytes are; the key-collision QCheck suite in
-   [test_callout] pins this. *)
-let add_part buf s =
-  Buffer.add_string buf (string_of_int (String.length s));
-  Buffer.add_char buf '.';
-  Buffer.add_string buf s
-
-(* Component-wise DN encoding (values may contain '/', '=', or any
-   separator byte). *)
-let dn_key (dn : Grid_gsi.Dn.t) =
-  let buf = Buffer.create 64 in
-  List.iter
-    (fun (r : Grid_gsi.Dn.rdn) ->
-      add_part buf r.attr;
-      add_part buf r.value)
-    dn;
-  Buffer.contents buf
-
-let opt_key f = function None -> "-" | Some v -> "+" ^ f v
-
-(* Built into one buffer — byte-identical to length-prefix-encoding each
-   part and concatenating (the encoding test_callout pins), without the
-   intermediate part list and per-part strings. *)
-let query_key ~scope ~epoch ?revision (q : Callout.query) =
-  let buf = Buffer.create 96 in
-  add_part buf scope;
-  add_part buf (string_of_int epoch);
-  add_part buf (opt_key string_of_int revision);
-  add_part buf (dn_key q.requester);
-  add_part buf (Grid_policy.Types.Action.to_string q.action);
-  add_part buf (opt_key Fun.id q.job_id);
-  add_part buf (opt_key Fun.id q.jobtag);
-  add_part buf (opt_key dn_key q.job_owner);
-  add_part buf (rsl_fingerprint q.rsl);
-  Buffer.contents buf
 
 (* --- Credential gate --------------------------------------------------- *)
 
@@ -224,7 +217,7 @@ let flush_on_epoch t epoch =
 
 (* A live node for [key], with past-deadline entries evicted in passing. *)
 let probe t ~now key =
-  match Hashtbl.find_opt t.table key with
+  match Key_tbl.find_opt t.table key with
   | Some node when now < node.expires_at -> Some node
   | Some node ->
     remove_node t node;
@@ -263,7 +256,7 @@ let store t ~now ~credential key decision =
       | None -> now +. t.ttl
     in
     if deadline > now then begin
-      if Hashtbl.length t.table >= t.capacity then begin
+      if Key_tbl.length t.table >= t.capacity then begin
         match t.tail with
         | Some lru ->
           remove_node t lru;
@@ -271,7 +264,7 @@ let store t ~now ~credential key decision =
         | None -> ()
       end;
       let node = { key; value = decision; expires_at = deadline; prev = None; next = None } in
-      Hashtbl.replace t.table key node;
+      Key_tbl.replace t.table key node;
       push_front t node;
       note_size t
     end
@@ -309,8 +302,8 @@ let with_cache_many t ?(scope = "authz") (backend : Callout.Batch.t) : Callout.B
     let sub_count = ref 0 in
     (* A batch of one holds no duplicate, so it gets no representative
        table. *)
-    let rep_slot : (string, int) Hashtbl.t option =
-      if n > 1 then Some (Hashtbl.create (min n 16)) else None
+    let rep_slot : int Key_tbl.t option =
+      if n > 1 then Some (Key_tbl.create (min n 16)) else None
     in
     let dups = ref [] in
     let bypasses = ref 0 in
@@ -329,13 +322,13 @@ let with_cache_many t ?(scope = "authz") (backend : Callout.Batch.t) : Callout.B
         match probe t ~now key with
         | Some node -> results.(i) <- serve_hit t ~scope ~epoch node
         | None -> begin
-          match Option.bind rep_slot (fun slots -> Hashtbl.find_opt slots key) with
+          match Option.bind rep_slot (fun slots -> Key_tbl.find_opt slots key) with
           | Some slot -> dups := (i, slot) :: !dups
           | None ->
             incr misses;
             Grid_obs.Obs.emit t.obs ~layer:"cache" "cache.miss"
               [ ("scope", scope); ("epoch", string_of_int epoch) ];
-            Option.iter (fun slots -> Hashtbl.add slots key !sub_count) rep_slot;
+            Option.iter (fun slots -> Key_tbl.add slots key !sub_count) rep_slot;
             sub := (i, Some key) :: !sub;
             incr sub_count
         end

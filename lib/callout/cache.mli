@@ -1,7 +1,8 @@
 (** Bounded LRU cache over authorization callout decisions.
 
-    Keyed on [(scope, policy epoch, requester DN, action, job id, jobtag,
-    jobowner, RSL fingerprint)] with a simulated-time TTL. Only definite
+    Keyed on [(scope, policy epoch, store revision, requester DN, action,
+    job id, jobtag, jobowner, RSL clause)], compared structurally, with a
+    simulated-time TTL. Only definite
     answers — [Ok ()] and [Denied] — are cached; [System_error] and
     [Bad_configuration] always reach the backend. A policy reload bumps
     the epoch ({!Grid_policy.Compile}), which both orphans old keys and
@@ -60,11 +61,15 @@ val with_cache_many : t -> ?scope:string -> Callout.Batch.t -> Callout.Batch.t
 val invalidate : t -> unit
 (** Drop every entry, counting them as invalidations. *)
 
-val query_key : scope:string -> epoch:int -> ?revision:int -> Callout.query -> string
-(** The cache key itself: length-prefixed over every component the
-    answer can depend on, so distinct queries cannot collide even when
-    components contain separator bytes. Exposed for the key-collision
-    property suite in [test_callout]. *)
+type key
+(** A cache key: every component the answer can depend on, taken from
+    the query unrendered. Keys are equal exactly when every component
+    is, whatever bytes a DN value holds, so polymorphic [=], [<>] and
+    [compare] are meaningful on them. *)
+
+val query_key : scope:string -> epoch:int -> ?revision:int -> Callout.query -> key
+(** The cache key itself. Exposed for the key-collision property suite
+    in [test_callout]. *)
 
 (** {1 Introspection} *)
 

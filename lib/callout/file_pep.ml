@@ -123,8 +123,8 @@ module Compiled = struct
     Callout.Batch.of_many many
 end
 
-let of_sources ?obs (sources : Grid_policy.Combine.source list) : Callout.t =
-  Callout.Batch.check (Compiled.batch (Compiled.create ?obs sources))
+let of_sources (sources : Grid_policy.Combine.source list) : Callout.t =
+  Callout.Batch.check (Compiled.batch (Compiled.create sources))
 
 (* The pre-compilation evaluation path: scans every statement per query.
    The differential suite holds [of_sources] to this behaviour; bench T16

@@ -27,10 +27,10 @@ module Compiled : sig
       epoch, so cached decisions against the old policy die. *)
 end
 
-val of_sources : ?obs:Grid_obs.Obs.t -> Grid_policy.Combine.source list -> Callout.t
+val of_sources : Grid_policy.Combine.source list -> Callout.t
 (** Conjunctive evaluation over named policy sources (compiled once at
-    construction); denial messages name the denying source. [obs] spans
-    and counts each per-source policy evaluation. *)
+    construction); denial messages name the denying source. An
+    instrumented PEP is built with {!Compiled.create}'s [obs]. *)
 
 val reference : Grid_policy.Combine.source list -> Callout.t
 (** The uncompiled evaluation path ([Combine.evaluate] per query):

@@ -129,12 +129,11 @@ module Fusion = struct
   }
 
   let build ?(backend = `Flat_file) ?(nodes = 4) ?(cpus_per_node = 8) ?queues ?faults
-      ?(fault_seed = 1299709) ?request_timeout ?flaky_pep ?authz_cache ?(store = false)
+      ?(fault_seed = 1299709) ?request_timeout ?authz_cache ?(store = false)
       ?snapshot_every ?fleet ?population ?broker_seed ?sts () =
     (* Only the self-hosted backends replicate per fleet member. *)
     if Option.is_some fleet
-       && ((backend <> `Flat_file && backend <> `Rebac) || Option.is_some flaky_pep
-          || Option.is_some snapshot_every)
+       && ((backend <> `Flat_file && backend <> `Rebac) || Option.is_some snapshot_every)
     then
       invalid_arg "Fusion.build: a fleet replicates the flat-file or rebac backend only";
     let testbed = Testbed.create () in
@@ -188,24 +187,11 @@ module Fusion = struct
            pinned to the flat-file PEP's, so the world behaves
            identically. *)
         let backend =
-          match (backend, flaky_pep) with
-          | `Baseline, _ -> Baseline
-          | `Flat_file, None -> Flat_file (sources ())
-          | `Rebac, None -> Rebac (Grid_rebac.Pep.create ~obs (sources ()))
-          | `Custom callout, None -> Custom callout
-          | ((`Flat_file | `Rebac | `Custom _) as backend), Some failure_probability ->
-            (* Chaos variant: the PEP behind a seeded fault injector. No
-               degradation combinator is applied, so backend faults
-               surface as Authz_system_failure — refusal, never a silent
-               permit (default-deny preserved). *)
-            let callout =
-              match backend with
-              | `Flat_file -> Grid_callout.File_pep.of_sources ~obs (sources ())
-              | `Rebac -> Grid_rebac.Pep.of_sources ~obs (sources ())
-              | `Custom callout -> callout
-            in
-            let rng = Grid_util.Rng.create ~seed:(fault_seed + 17) in
-            Custom (Grid_callout.Callout.flaky ~rng ~failure_probability callout)
+          match backend with
+          | `Baseline -> Baseline
+          | `Flat_file -> Flat_file (sources ())
+          | `Rebac -> Rebac (Grid_rebac.Pep.create ~obs (sources ()))
+          | `Custom callout -> Custom callout
         in
         let network =
           Option.map

@@ -39,6 +39,13 @@ let equal a b =
 
 let compare a b = String.compare (to_string a) (to_string b)
 
+(* Every component is folded in: DNs of one organization share long
+   prefixes, and the polymorphic hash stops after ten meaningful words. *)
+let hash t =
+  List.fold_left
+    (fun h { attr; value } -> Hashtbl.seeded_hash (Hashtbl.seeded_hash h attr) value)
+    0 t
+
 (* [is_prefix p t]: every component of [p] matches the corresponding leading
    component of [t]. A DN is a prefix of itself. *)
 let is_prefix p t =

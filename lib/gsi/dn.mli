@@ -13,6 +13,10 @@ val pp : t Fmt.t
 val equal : t -> t -> bool
 val compare : t -> t -> int
 
+val hash : t -> int
+(** Agrees with {!equal}, and reads every component, so DNs that share
+    a long prefix still spread over hash buckets. *)
+
 val is_prefix : t -> t -> bool
 (** [is_prefix p t] holds when [p]'s components are the leading components
     of [t]; the policy language's group statements use this. Reflexive. *)

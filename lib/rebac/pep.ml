@@ -107,5 +107,4 @@ let batch t : Grid_callout.Callout.Batch.t =
   in
   Grid_callout.Callout.Batch.of_many many
 
-let of_sources ?obs sources =
-  Grid_callout.Callout.Batch.check (batch (create ?obs sources))
+let of_sources sources = Grid_callout.Callout.Batch.check (batch (create sources))

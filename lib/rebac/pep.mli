@@ -33,5 +33,5 @@ val callout_with : ?consistency:Store.consistency -> t -> Grid_callout.Callout.t
     caller token ([At_least] / [Snapshot]) — the one path that takes a
     token, so it has no batch. *)
 
-val of_sources : ?obs:Grid_obs.Obs.t -> Grid_policy.Combine.source list -> Grid_callout.Callout.t
-(** [Batch.check (batch (create ?obs sources))]. *)
+val of_sources : Grid_policy.Combine.source list -> Grid_callout.Callout.t
+(** [Batch.check (batch (create sources))]. *)

@@ -5,9 +5,8 @@
     carries an embedded newline must not decode as a different
     capability. Each part is length-prefixed ([<len>.<bytes>]), so the
     encoding is unambiguous whatever the bytes are, and
-    [decode (encode parts) = Some parts] for every part list. The
-    decision-cache key builder uses the same scheme; the QCheck
-    round-trip suites in [test_callout] and [test_cas] pin both. *)
+    [decode (encode parts) = Some parts] for every part list; the QCheck
+    round-trip suite in [test_cas] pins it. *)
 
 val encode : string list -> string
 (** Concatenated length-prefixed parts. Injective: distinct part lists

@@ -401,7 +401,7 @@ let test_cache_scopes_partition_keys () =
 (* A key collision between two different queries is a cross-principal
    cache hit, so [Cache.query_key] must be injective over everything a
    decision can depend on: scope, epoch, store revision, requester DN,
-   action, job id, jobtag, job owner, RSL fingerprint. *)
+   action, job id, jobtag, job owner, RSL clause. *)
 
 let base_query () =
   Callout.Query.make ~requester:(dn "/O=Grid/CN=U") ~job_id:"job-1"
@@ -442,9 +442,9 @@ let test_cache_key_single_component_never_collides () =
     (List.length distinct)
 
 let test_cache_key_adversarial_boundaries () =
-  (* Hand-built DNs may contain any byte; the length-prefixed encoding
-     must keep component boundaries unambiguous where separator-joined
-     keys collide. *)
+  (* Hand-built DNs may contain any byte; keys compared part by part
+     must keep component boundaries apart where a separator-joined
+     rendering would collide. *)
   let rdn attr value = { Grid_gsi.Dn.attr; value } in
   let q dn_parts =
     { (base_query ()) with Callout.requester = dn_parts; job_owner = None }
@@ -472,44 +472,73 @@ let test_cache_key_adversarial_boundaries () =
   Alcotest.(check bool) "requester/owner not interchangeable" true
     (Cache.query_key ~scope:"authz" ~epoch:1 a <> Cache.query_key ~scope:"authz" ~epoch:1 b)
 
+(* Random key tuples. Pools are tiny so genuine equality happens often
+   and both directions of each iff below get exercised. *)
+let gen_dn =
+  QCheck.Gen.(
+    let rdn =
+      let* attr = oneofl [ ""; "O"; "CN"; "a"; "a1"; "ab" ] in
+      let* value = oneofl [ ""; "G"; "1"; "b"; "bc"; "G/OU=u1"; "x\x00y"; "x\x01y" ] in
+      return { Grid_gsi.Dn.attr; value }
+    in
+    list_size (int_range 0 3) rdn)
+
+let gen_keyed =
+  QCheck.Gen.(
+    let* scope = oneofl [ "authz"; "jm" ] in
+    let* epoch = int_range 0 2 in
+    let* revision = opt (int_range 0 2) in
+    let* requester = gen_dn in
+    let* action =
+      oneofl Grid_policy.Types.Action.[ Start; Cancel; Information; Signal ]
+    in
+    let* job_id = opt (oneofl [ "job-1"; "job-2"; "" ]) in
+    let* jobtag = opt (oneofl [ "NFC"; "ADS"; "" ]) in
+    let* job_owner = opt gen_dn in
+    let* rsl =
+      opt (map Grid_rsl.Parser.parse_clause_exn (oneofl [ "&(executable=x)"; "&(count=2)" ]))
+    in
+    return (scope, epoch, revision, requester, action, job_id, jobtag, job_owner, rsl))
+
+let keyed_tuple_query (_, _, _, requester, action, job_id, jobtag, job_owner, rsl) =
+  { Callout.requester; requester_credential = None; job_owner; action; job_id; rsl; jobtag }
+
+let key ((scope, epoch, revision, _, _, _, _, _, _) as k) =
+  Cache.query_key ~scope ~epoch ?revision (keyed_tuple_query k)
+
 (* Injectivity as a property: two random key tuples collide iff every
-   component is equal. Pools are tiny so genuine equality happens often
-   and both directions of the iff get exercised. *)
+   component is equal. *)
 let qcheck_cache_key_injective =
-  let gen_dn =
-    QCheck.Gen.(
-      let rdn =
-        let* attr = oneofl [ ""; "O"; "CN"; "a"; "a1"; "ab" ] in
-        let* value = oneofl [ ""; "G"; "1"; "b"; "bc"; "G/OU=u1"; "x\x00y"; "x\x01y" ] in
-        return { Grid_gsi.Dn.attr; value }
-      in
-      list_size (int_range 0 3) rdn)
-  in
-  let gen_keyed =
-    QCheck.Gen.(
-      let* scope = oneofl [ "authz"; "jm" ] in
-      let* epoch = int_range 0 2 in
-      let* revision = opt (int_range 0 2) in
-      let* requester = gen_dn in
-      let* action =
-        oneofl Grid_policy.Types.Action.[ Start; Cancel; Information; Signal ]
-      in
-      let* job_id = opt (oneofl [ "job-1"; "job-2"; "" ]) in
-      let* jobtag = opt (oneofl [ "NFC"; "ADS"; "" ]) in
-      let* job_owner = opt gen_dn in
-      let* rsl =
-        opt (map Grid_rsl.Parser.parse_clause_exn (oneofl [ "&(executable=x)"; "&(count=2)" ]))
-      in
-      return (scope, epoch, revision, requester, action, job_id, jobtag, job_owner, rsl))
-  in
-  let key (scope, epoch, revision, requester, action, job_id, jobtag, job_owner, rsl) =
-    Cache.query_key ~scope ~epoch ?revision
-      { Callout.requester; requester_credential = None; job_owner; action; job_id; rsl;
-        jobtag }
-  in
   QCheck.Test.make ~name:"query_key collides iff all components equal" ~count:2000
     (QCheck.make QCheck.Gen.(pair gen_keyed gen_keyed))
     (fun (a, b) -> key a = key b = (a = b))
+
+(* The table must agree with the key: asked [a] then [b], the cache
+   serves [b] from [a]'s entry iff their keys are equal. A hash that
+   disagreed with key equality would miss here where the keys match.
+   The cache either samples a revision or does not, so both queries of
+   a pair carry one or neither. *)
+let qcheck_cache_serves_iff_keys_equal =
+  QCheck.Test.make ~name:"second ask served from the first's entry iff keys equal"
+    ~count:2000
+    (QCheck.make QCheck.Gen.(pair gen_keyed gen_keyed))
+    (fun (((_, _, rev_a, _, _, _, _, _, _) as a), ((_, _, rev_b, _, _, _, _, _, _) as b)) ->
+      QCheck.assume (Option.is_some rev_a = Option.is_some rev_b);
+      let epoch = ref 0 and revision = ref None in
+      let backend, calls = Callout.counting Callout.permit_all in
+      let cache =
+        Cache.create ~epoch:(fun () -> !epoch)
+          ?revision:(Option.map (fun _ () -> Option.get !revision) rev_a)
+          ~now:(fun () -> 0.0) ()
+      in
+      let ask ((scope, e, r, _, _, _, _, _, _) as k) =
+        epoch := e;
+        revision := r;
+        ignore (cached cache ~scope backend (keyed_tuple_query k))
+      in
+      ask a;
+      ask b;
+      calls () = 1 = (key a = key b))
 
 let pinned test = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5EED; 421 |]) test
 
@@ -582,6 +611,7 @@ let () =
           Alcotest.test_case "adversarial component boundaries" `Quick
             test_cache_key_adversarial_boundaries;
           pinned qcheck_cache_key_injective;
+          pinned qcheck_cache_serves_iff_keys_equal;
           Alcotest.test_case "revision keys without flushing" `Quick
             test_cache_revision_keys_without_flushing ] );
       ( "file-pep",

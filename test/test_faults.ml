@@ -38,10 +38,10 @@ let chaos_config jobs =
     management_batch = 1;
     seed = 23 }
 
-let run_chaos ~fault_seed ?flaky_pep () =
+let run_chaos ~fault_seed ?backend () =
   let w =
-    Fusion.build ~nodes:8 ~cpus_per_node:8 ~faults:heavy ~fault_seed
-      ~request_timeout:0.25 ?flaky_pep ()
+    Fusion.build ?backend ~nodes:8 ~cpus_per_node:8 ~faults:heavy ~fault_seed
+      ~request_timeout:0.25 ()
   in
   let stats =
     Workload.run
@@ -102,11 +102,20 @@ let test_chaos_deterministic () =
     seeds
 
 (* Fail-closed: with the PEP itself down (every callout a backend
-   fault), nothing is ever admitted — faults deny, they never permit. *)
+   fault), nothing is ever admitted — faults deny, they never permit.
+   No degradation combinator is applied, so backend faults surface as
+   Authz_system_failure: refusal, never a silent permit. *)
 let test_pep_outage_never_permits () =
+  let sources = Fusion.policy_sources (Fusion.build_vo ()) in
   List.iter
     (fun fault_seed ->
-      let _, s = run_chaos ~fault_seed ~flaky_pep:1.0 () in
+      let rng = Util.Rng.create ~seed:(fault_seed + 17) in
+      let backend =
+        `Custom
+          (Callout.Callout.flaky ~rng ~failure_probability:1.0
+             (Callout.File_pep.of_sources sources))
+      in
+      let _, s = run_chaos ~fault_seed ~backend () in
       Alcotest.(check int)
         (Printf.sprintf "seed %d: zero admissions during PEP outage" fault_seed)
         0 s.Workload.accepted;

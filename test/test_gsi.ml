@@ -51,6 +51,21 @@ let test_dn_append () =
   let d = Dn.append (Dn.parse "/O=Grid") ~attr:"CN" ~value:"proxy" in
   Alcotest.(check string) "appended" "/O=Grid/CN=proxy" (Dn.to_string d)
 
+(* Population DNs share every component but the last CN; a hash that
+   stopped early would put them all in one bucket. *)
+let test_dn_hash_spread () =
+  let dns =
+    List.init 10_000 (fun i ->
+        Dn.parse (Printf.sprintf "/O=Grid/O=Pop-t/OU=analysts/CN=u%06d" i))
+  in
+  let distinct = List.length (List.sort_uniq Int.compare (List.map Dn.hash dns)) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d distinct hashes over 10000 DNs (>= 9990)" distinct)
+    true (distinct >= 9_990);
+  Alcotest.(check int) "equal DNs hash equal"
+    (Dn.hash (Dn.parse "/O=Grid/CN=u000001"))
+    (Dn.hash (Dn.append (Dn.parse "/O=Grid") ~attr:"CN" ~value:"u000001"))
+
 (* --- Certificates and CAs ------------------------------------------- *)
 
 let make_ca () = Ca.create ~now:0.0 "/O=Grid/CN=Test CA"
@@ -460,6 +475,7 @@ let () =
           Alcotest.test_case "prefix" `Quick test_dn_prefix;
           Alcotest.test_case "common name" `Quick test_dn_common_name;
           Alcotest.test_case "append" `Quick test_dn_append;
+          Alcotest.test_case "hash spread" `Quick test_dn_hash_spread;
           QCheck_alcotest.to_alcotest qcheck_dn_roundtrip ] );
       ( "cert",
         [ Alcotest.test_case "ca self-signed" `Quick test_ca_self_signed;

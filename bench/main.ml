@@ -44,6 +44,22 @@ let collected : (string * (string * float) list) list ref = ref []
    tripped, so CI can gate on a bench run. *)
 let bench_failures = ref 0
 
+(* A checked-in allocation budget, in minor words per op, read from the
+   first line of [file]. A missing or unreadable file falls back to
+   [default] so ad-hoc runs outside the repo root still work. *)
+let alloc_ceiling ~default file =
+  let fallback = (default, "built-in default") in
+  match open_in file with
+  | exception Sys_error _ -> fallback
+  | ic ->
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () ->
+        match float_of_string_opt (String.trim (input_line ic)) with
+        | Some v -> (v, file)
+        | None -> fallback
+        | exception End_of_file -> fallback)
+
 let print_table title rows =
   let rows = List.sort (fun (a, _) (b, _) -> compare a b) rows in
   collected := (title, rows) :: !collected;
@@ -342,7 +358,7 @@ let t4_delegation () =
   let trust = Gsi.Ca.Trust_store.create () in
   Gsi.Ca.Trust_store.add trust (Gsi.Ca.certificate ca);
   let base = Gsi.Identity.create ~ca ~now:0.0 "/O=Bench/CN=User" in
-  let tests =
+  let cases =
     List.map
       (fun depth ->
         let rec delegate id n =
@@ -350,15 +366,47 @@ let t4_delegation () =
         in
         let id = delegate base depth in
         let cred = Gsi.Credential.of_identity id ~challenge:"c" in
-        Test.make
-          ~name:(Printf.sprintf "validate/depth-%02d" depth)
-          (Staged.stage (fun () ->
-               match Gsi.Credential.validate cred ~trust ~now:1.0 with
-               | Ok _ -> ()
-               | Error e -> failwith (Gsi.Credential.error_to_string e))))
+        let validate () =
+          match Gsi.Credential.validate cred ~trust ~now:1.0 with
+          | Ok _ -> ()
+          | Error e -> failwith (Gsi.Credential.error_to_string e)
+        in
+        (depth, validate))
       [ 0; 1; 2; 4; 8; 16 ]
   in
-  print_table "chain validation (signatures + naming + possession proof)" (run_tests tests)
+  print_table "chain validation (signatures + naming + possession proof)"
+    (run_tests
+       (List.map
+          (fun (depth, validate) ->
+             Test.make ~name:(Printf.sprintf "validate/depth-%02d" depth) (Staged.stage validate))
+          cases));
+  (* Minor words per validation, at every depth; depth 0 (an end-entity
+     credential, as every GSI handshake presents) is gated. *)
+  let iters = 2000 in
+  let rows =
+    List.map
+      (fun (depth, validate) ->
+        validate ();
+        let minor0 = Gc.minor_words () in
+        for _ = 1 to iters do
+          validate ()
+        done;
+        let words = (Gc.minor_words () -. minor0) /. float_of_int iters in
+        Printf.printf "   depth %2d: %8.0f minor words/validate\n" depth words;
+        (Printf.sprintf "validate/depth-%02d/minor_words_per_op" depth, words))
+      cases
+  in
+  let depth0 = List.assoc "validate/depth-00/minor_words_per_op" rows in
+  let ceiling, origin = alloc_ceiling ~default:396.0 "bench/authn_alloc_ceiling.txt" in
+  Printf.printf "   depth 0 allocation: %.1f minor words/validate vs ceiling %.1f (%s)\n" depth0
+    ceiling origin;
+  if depth0 > ceiling then begin
+    Printf.printf "   FAIL: end-entity validation exceeds the allocation ceiling\n";
+    incr bench_failures
+  end;
+  collected :=
+    ("chain validation allocation", rows @ [ ("validate/depth-00/alloc_ceiling", ceiling) ])
+    :: !collected
 
 (* ------------------------------------------------------------------ *)
 (* T5: combined decision vs number of policy sources                    *)
@@ -1162,22 +1210,6 @@ let t19_rebac () =
 
 (* ------------------------------------------------------------------ *)
 (* T20: batch decision pipeline throughput and allocation             *)
-
-(* A checked-in allocation budget, in minor words per op, read from the
-   first line of [file]. A missing or unreadable file falls back to
-   [default] so ad-hoc runs outside the repo root still work. *)
-let alloc_ceiling ~default file =
-  let fallback = (default, "built-in default") in
-  match open_in file with
-  | exception Sys_error _ -> fallback
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        match float_of_string_opt (String.trim (input_line ic)) with
-        | Some v -> (v, file)
-        | None -> fallback
-        | exception End_of_file -> fallback)
 
 let t20_batch () =
   section "T20: batch decision pipeline — throughput and allocation";

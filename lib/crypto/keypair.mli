@@ -10,7 +10,7 @@ type public
 (** Public key: safe to embed in certificates. *)
 
 type secret
-(** Secret signing key. *)
+(** Secret signing key, held as a prepared HMAC key ({!Hmac.key}). *)
 
 type t
 
@@ -29,10 +29,13 @@ val register : t -> unit
     its signatures. A CA does this for itself at creation. *)
 
 val verify : public -> signature:string -> string -> bool
-(** [verify pk ~signature msg] checks [signature] over [msg] against [pk].
-    Returns [false] when [pk] is unknown to the keystore. *)
+(** [verify pk ~signature msg] checks [signature] over [msg] against [pk]
+    in constant time ({!Hmac.equal}). Returns [false] when [pk] is unknown
+    to the keystore. *)
 
 val reset_keystore : unit -> unit
 (** Clear the trusted keystore (test setup). *)
 
-val pp_public : public Fmt.t
+val add_label : Buffer.t -> public -> unit
+(** Append the key's short label, ["pub:"] and the first 12 hex digits of
+    its id: the form certificates sign. *)

@@ -29,25 +29,47 @@ let kind_to_string = function
   | Authority -> "authority"
   | Proxy -> "proxy"
 
+(* The runtime primitive behind [Printf]'s [%f] conversions: the same bytes
+   as [Printf.sprintf "%.6f"], without interpreting a format each call. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 (* Canonical byte encoding of the to-be-signed portion. Any change to a
-   field changes these bytes, so a tampered certificate fails verification. *)
-let to_signing_bytes ~serial ~kind ~subject ~issuer ~public_key_id ~not_before ~not_after
+   field changes these bytes, so a tampered certificate fails verification.
+   They are re-rendered on every verification, never stored: a record
+   copied with one field changed must not carry the old bytes along. *)
+let to_signing_bytes ~serial ~kind ~subject ~issuer ~public_key ~not_before ~not_after
     ~extensions =
-  let ext_bytes =
-    Grid_util.Strings.concat_map ";"
-      (fun e ->
-        Printf.sprintf "%s:%b:%s" e.oid e.critical (Grid_crypto.Base64.encode e.payload))
-      extensions
+  let buf = Buffer.create 256 in
+  let field add x =
+    Buffer.add_char buf '|';
+    add buf x
   in
-  Printf.sprintf "cert|%d|%s|%s|%s|%s|%.6f|%.6f|%s" serial (kind_to_string kind)
-    (Dn.to_string subject) (Dn.to_string issuer) public_key_id not_before not_after ext_bytes
+  let time buf x = Buffer.add_string buf (format_float "%.6f" x) in
+  Buffer.add_string buf "cert";
+  field Buffer.add_string (string_of_int serial);
+  field Buffer.add_string (kind_to_string kind);
+  field Dn.add_to_buffer subject;
+  field Dn.add_to_buffer issuer;
+  (* The public key's identity is its registered key id's short label. *)
+  field Grid_crypto.Keypair.add_label public_key;
+  field time not_before;
+  field time not_after;
+  Buffer.add_char buf '|';
+  List.iteri
+    (fun i e ->
+      if i > 0 then Buffer.add_char buf ';';
+      Buffer.add_string buf e.oid;
+      Buffer.add_char buf ':';
+      Buffer.add_string buf (string_of_bool e.critical);
+      Buffer.add_char buf ':';
+      Buffer.add_string buf (Grid_crypto.Base64.encode e.payload))
+    extensions;
+  Buffer.contents buf
 
 let signing_bytes t =
-  (* Re-derive the key id through the same canonical form used at issuance:
-     the public key's identity is its registered key id. *)
   to_signing_bytes ~serial:t.serial ~kind:t.kind ~subject:t.subject ~issuer:t.issuer
-    ~public_key_id:(Fmt.to_to_string Grid_crypto.Keypair.pp_public t.public_key)
-    ~not_before:t.not_before ~not_after:t.not_after ~extensions:t.extensions
+    ~public_key:t.public_key ~not_before:t.not_before ~not_after:t.not_after
+    ~extensions:t.extensions
 
 let serial_counter = ref 0
 
@@ -56,9 +78,8 @@ let make ~kind ~subject ~issuer ~public_key ~not_before ~not_after ~extensions
   incr serial_counter;
   let serial = !serial_counter in
   let body =
-    to_signing_bytes ~serial ~kind ~subject ~issuer
-      ~public_key_id:(Fmt.to_to_string Grid_crypto.Keypair.pp_public public_key)
-      ~not_before ~not_after ~extensions
+    to_signing_bytes ~serial ~kind ~subject ~issuer ~public_key ~not_before ~not_after
+      ~extensions
   in
   { serial; kind; subject; issuer; public_key; not_before; not_after; extensions;
     signature = Grid_crypto.Keypair.sign signing_key body }

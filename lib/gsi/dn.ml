@@ -28,8 +28,19 @@ let parse s =
         { attr; value })
     components
 
+let add_to_buffer buf t =
+  List.iter
+    (fun { attr; value } ->
+      Buffer.add_char buf '/';
+      Buffer.add_string buf attr;
+      Buffer.add_char buf '=';
+      Buffer.add_string buf value)
+    t
+
 let to_string t =
-  String.concat "" (List.map (fun { attr; value } -> "/" ^ attr ^ "=" ^ value) t)
+  let buf = Buffer.create 64 in
+  add_to_buffer buf t;
+  Buffer.contents buf
 
 let pp ppf t = Fmt.string ppf (to_string t)
 

@@ -9,6 +9,10 @@ val parse : string -> t
 (** Parse "/A=v/B=w/..." form. Raises {!Parse_error} on malformed input. *)
 
 val to_string : t -> string
+
+val add_to_buffer : Buffer.t -> t -> unit
+(** Append {!to_string}'s bytes without building the string. *)
+
 val pp : t Fmt.t
 val equal : t -> t -> bool
 val compare : t -> t -> int

@@ -1,12 +1,14 @@
 (* Checksummed record framing over the simulated disk.
 
    Frame layout: magic 0xA7, 4-byte big-endian payload length, 8-byte
-   checksum (SHA-256 prefix of the payload), payload. 13 bytes of
-   header per record. *)
+   check (masked CRC-32C, then CRC-32, of the payload, each 4 bytes
+   big-endian), payload. 13 bytes of header per record. The check guards
+   against torn writes and bit rot, not against an adversary: two CRCs of
+   independent polynomials give 64 bits of check, and each alone catches
+   every burst error of up to 32 bits. *)
 
 let magic = '\xa7'
 let header_bytes = 13
-let checksum_bytes = 8
 let max_record_bytes = 16 * 1024 * 1024
 
 type sync_policy =
@@ -26,19 +28,27 @@ let create ?(sync = Every_append) ~disk ~file () =
 let appends t = t.appends
 let bytes t = Grid_sim.Disk.size t.disk ~file:t.file
 
-let checksum payload = String.sub (Grid_crypto.Sha256.digest payload) 0 checksum_bytes
+let set32 b off v =
+  Bytes.set_uint16_be b off (v lsr 16);
+  Bytes.set_uint16_be b (off + 2) (v land 0xffff)
+
+let get32 s off = (String.get_uint16_be s off lsl 16) lor String.get_uint16_be s (off + 2)
 
 let frame payload =
   let len = String.length payload in
-  let buf = Buffer.create (header_bytes + len) in
-  Buffer.add_char buf magic;
-  Buffer.add_char buf (Char.chr ((len lsr 24) land 0xff));
-  Buffer.add_char buf (Char.chr ((len lsr 16) land 0xff));
-  Buffer.add_char buf (Char.chr ((len lsr 8) land 0xff));
-  Buffer.add_char buf (Char.chr (len land 0xff));
-  Buffer.add_string buf (checksum payload);
-  Buffer.add_string buf payload;
-  Buffer.contents buf
+  let b = Bytes.create (header_bytes + len) in
+  let c, i = Crc.both payload in
+  Bytes.set b 0 magic;
+  set32 b 1 len;
+  set32 b 5 (Crc.mask c);
+  set32 b 9 i;
+  Bytes.blit_string payload 0 b header_bytes len;
+  Bytes.unsafe_to_string b
+
+(* Does the check stored in the header at [at] match [payload]? *)
+let checks data ~at payload =
+  let c, i = Crc.both payload in
+  get32 data (at + 5) = Crc.mask c && get32 data (at + 9) = i
 
 let sync t = ignore (Grid_sim.Disk.sync t.disk ~file:t.file)
 
@@ -91,12 +101,7 @@ let replay ~disk ~file =
         finished := true
       end
       else begin
-        let len =
-          (Char.code data.[at + 1] lsl 24)
-          lor (Char.code data.[at + 2] lsl 16)
-          lor (Char.code data.[at + 3] lsl 8)
-          lor Char.code data.[at + 4]
-        in
+        let len = get32 data (at + 1) in
         if len > max_record_bytes then begin
           (* An absurd length is corruption, not a huge record. *)
           stop := Some (Checksum_mismatch { offset = at });
@@ -107,9 +112,8 @@ let replay ~disk ~file =
           finished := true
         end
         else begin
-          let stored = String.sub data (at + 5) checksum_bytes in
           let payload = String.sub data (at + header_bytes) len in
-          if not (String.equal stored (checksum payload)) then begin
+          if not (checks data ~at payload) then begin
             stop := Some (Checksum_mismatch { offset = at });
             finished := true
           end

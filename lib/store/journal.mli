@@ -1,9 +1,10 @@
 (** Append-only, checksummed write-ahead journal over {!Grid_sim.Disk}.
 
     Record framing: a one-byte magic, a 4-byte big-endian payload
-    length, the first 8 bytes of the payload's SHA-256, then the
-    payload. Replay scans from the start and stops cleanly at the first
-    frame that does not verify — a truncated header, a short payload
+    length, an 8-byte check (the payload's masked CRC-32C and its
+    CRC-32, see {!Crc}), then the payload. Replay scans from the start
+    and stops cleanly at the first frame that does not verify — a
+    truncated header, a short payload
     (truncated tail), a checksum mismatch (torn write or bit rot) or a
     bad magic byte — dropping that frame and everything after it. A
     record is therefore either replayed bit-exact or not at all. *)

@@ -92,6 +92,68 @@ let test_replay_idempotent () =
   Alcotest.(check int) "same valid bytes" r1.Store.Journal.valid_bytes r2.Store.Journal.valid_bytes;
   Alcotest.(check int) "same dropped bytes" r1.Store.Journal.dropped_bytes r2.Store.Journal.dropped_bytes
 
+(* The frame check's two CRCs against published values: the CRC-32C
+   vectors of RFC 3720 B.4, and the "123456789" check value of each
+   polynomial. *)
+let test_crc_vectors () =
+  let check name input ?ieee castagnoli =
+    let c, i = Store.Crc.both input in
+    Alcotest.(check int) (name ^ ": CRC-32C") castagnoli c;
+    Option.iter (fun ieee -> Alcotest.(check int) (name ^ ": CRC-32") ieee i) ieee
+  in
+  check "32 x 0x00" (String.make 32 '\x00') 0x8A9136AA;
+  check "32 x 0xFF" (String.make 32 '\xff') 0x62A8AB43;
+  check "bytes 0..31" (String.init 32 Char.chr) 0x46DD794E;
+  check "bytes 31..0" (String.init 32 (fun i -> Char.chr (31 - i))) 0x113FDB5C;
+  check "123456789" "123456789" ~ieee:0xCBF43926 0xE3069283;
+  let header = String.sub (Store.Journal.frame "123456789") 5 8 in
+  Alcotest.(check string) "frame stores masked CRC-32C, then CRC-32"
+    (Printf.sprintf "%08x%08x" (Store.Crc.mask 0xE3069283) 0xCBF43926)
+    (Grid_crypto.Hex.encode header)
+
+(* Flipping any one byte of a journal never replays a changed record:
+   replay keeps exactly the frames before the damaged one and reports a
+   typed corruption at that frame's offset. *)
+let qcheck_byte_flip_never_replays_changed =
+  let gen =
+    QCheck.Gen.(
+      triple
+        (list_size (int_range 2 8) (string_size (int_range 0 60)))
+        nat (int_range 1 255))
+  in
+  QCheck.Test.make ~name:"one flipped byte: clean prefix, typed corruption" ~count:500
+    (QCheck.make
+       ~print:(fun (payloads, at, x) ->
+         Printf.sprintf "%d records, byte %d xor 0x%02x" (List.length payloads) at x)
+       gen)
+    (fun (payloads, at, x) ->
+      let frames = List.map Store.Journal.frame payloads in
+      let bytes = Bytes.of_string (String.concat "" frames) in
+      let at = at mod Bytes.length bytes in
+      Bytes.set bytes at (Char.chr (Char.code (Bytes.get bytes at) lxor x));
+      let d = disk () in
+      Sim.Disk.append d ~file:"t.journal" (Bytes.to_string bytes);
+      ignore (Sim.Disk.sync d ~file:"t.journal");
+      let r = Store.Journal.replay ~disk:d ~file:"t.journal" in
+      (* The damaged frame's index and start offset. *)
+      let rec locate k start = function
+        | f :: rest ->
+          if at < start + String.length f then (k, start)
+          else locate (k + 1) (start + String.length f) rest
+        | [] -> assert false
+      in
+      let k, start = locate 0 0 frames in
+      let offset =
+        match r.Store.Journal.corruption with
+        | Some
+            ( Store.Journal.Truncated_frame { offset }
+            | Store.Journal.Checksum_mismatch { offset }
+            | Store.Journal.Bad_magic { offset } ) -> offset
+        | None -> -1
+      in
+      r.Store.Journal.records = List.filteri (fun i _ -> i < k) payloads
+      && offset = start && r.Store.Journal.valid_bytes = start)
+
 (* --- Snapshot crash windows ------------------------------------------- *)
 
 (* Crash mid-snapshot: a leftover [.snapshot.tmp] (possibly garbage) must
@@ -393,7 +455,10 @@ let () =
         [ Alcotest.test_case "truncated tail" `Quick test_truncated_tail;
           Alcotest.test_case "torn final record" `Quick test_torn_final_record;
           Alcotest.test_case "bit rot checksum" `Quick test_bit_rot_checksum;
-          Alcotest.test_case "replay idempotent" `Quick test_replay_idempotent ] );
+          Alcotest.test_case "replay idempotent" `Quick test_replay_idempotent;
+          Alcotest.test_case "crc vectors" `Quick test_crc_vectors;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 3720 |])
+            qcheck_byte_flip_never_replays_changed ] );
       ( "snapshot",
         [ Alcotest.test_case "crash during snapshot falls back" `Quick
             test_crash_during_snapshot_fallback;

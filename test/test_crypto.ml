@@ -269,12 +269,12 @@ let () =
           Alcotest.test_case "two blocks" `Quick test_sha_two_blocks;
           Alcotest.test_case "million a" `Slow test_sha_million_a;
           Alcotest.test_case "padding boundary" `Quick test_sha_length_edge;
+          QCheck_alcotest.to_alcotest qcheck_sha_injective_on_samples;
+          QCheck_alcotest.to_alcotest qcheck_sha_length;
           Alcotest.test_case "block-edge lengths" `Quick test_sha_lengths;
           Alcotest.test_case "midstate and resume" `Quick test_sha_midstate;
           QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 32 |])
-            qcheck_sha_chunked_feed;
-          QCheck_alcotest.to_alcotest qcheck_sha_injective_on_samples;
-          QCheck_alcotest.to_alcotest qcheck_sha_length ] );
+            qcheck_sha_chunked_feed ] );
       ( "hmac",
         [ Alcotest.test_case "rfc4231 case 1" `Quick test_hmac_rfc4231_case1;
           Alcotest.test_case "rfc4231 case 2" `Quick test_hmac_rfc4231_case2;

@@ -350,6 +350,34 @@ let t3_management () =
 (* ------------------------------------------------------------------ *)
 (* T4: delegation chain verification                                    *)
 
+(* Best of [rounds] host-clock timings of [iters] back-to-back calls of
+   each named [f i], in ns per call. Timing a fixed iteration count as a
+   whole orders microsecond-scale cases that a short bechamel quota
+   cannot; the rounds visit every case in turn, so a slow stretch of a
+   shared host is spread over all cases instead of landing on one. *)
+let best_of_ns ?(rounds = 7) ~iters cases =
+  let best = Array.make (List.length cases) infinity in
+  for _ = 1 to rounds do
+    List.iteri
+      (fun k (_, f) ->
+        let t0 = Monotonic_clock.get () in
+        for i = 0 to iters - 1 do
+          f i
+        done;
+        best.(k) <- Float.min best.(k) (Monotonic_clock.get () -. t0))
+      cases
+  done;
+  List.mapi (fun k (name, _) -> (name, best.(k) /. float_of_int iters)) cases
+
+(* Minor words per call of [f i] over [iters] calls, after one untimed call. *)
+let minor_words_per_call ~iters f =
+  f 0;
+  let minor0 = Gc.minor_words () in
+  for i = 0 to iters - 1 do
+    f i
+  done;
+  (Gc.minor_words () -. minor0) /. float_of_int iters
+
 let t4_delegation () =
   section "T4: credential validation vs proxy delegation depth";
   Util.Ids.reset ();
@@ -357,56 +385,64 @@ let t4_delegation () =
   let ca = Gsi.Ca.create ~now:0.0 "/O=Bench/CN=CA" in
   let trust = Gsi.Ca.Trust_store.create () in
   Gsi.Ca.Trust_store.add trust (Gsi.Ca.certificate ca);
-  let base = Gsi.Identity.create ~ca ~now:0.0 "/O=Bench/CN=User" in
+  (* The trust store memoizes verified signatures. The hit path asks one
+     credential again and again; the miss path cycles through more
+     distinct credentials than the memo holds, so every certificate is
+     verified as if seen for the first time. *)
+  let distinct = 64 in
   let cases =
     List.map
       (fun depth ->
         let rec delegate id n =
           if n = 0 then id else delegate (Gsi.Identity.delegate id ~now:0.0) (n - 1)
         in
-        let id = delegate base depth in
-        let cred = Gsi.Credential.of_identity id ~challenge:"c" in
-        let validate () =
+        let creds =
+          Array.init distinct (fun i ->
+              let dn = Printf.sprintf "/O=Bench/CN=User%02d" i in
+              let base = Gsi.Identity.create ~ca ~now:0.0 dn in
+              Gsi.Credential.of_identity (delegate base depth) ~challenge:"c")
+        in
+        let validate cred =
           match Gsi.Credential.validate cred ~trust ~now:1.0 with
           | Ok _ -> ()
           | Error e -> failwith (Gsi.Credential.error_to_string e)
         in
-        (depth, validate))
+        let hit _ = validate creds.(0) in
+        let miss i = validate creds.(i mod distinct) in
+        (depth, [ ("hit", hit); ("miss", miss) ]))
       [ 0; 1; 2; 4; 8; 16 ]
   in
-  print_table "chain validation (signatures + naming + possession proof)"
-    (run_tests
-       (List.map
-          (fun (depth, validate) ->
-             Test.make ~name:(Printf.sprintf "validate/depth-%02d" depth) (Staged.stage validate))
-          cases));
-  (* Minor words per validation, at every depth; depth 0 (an end-entity
-     credential, as every GSI handshake presents) is gated. *)
-  let iters = 2000 in
-  let rows =
-    List.map
-      (fun (depth, validate) ->
-        validate ();
-        let minor0 = Gc.minor_words () in
-        for _ = 1 to iters do
-          validate ()
-        done;
-        let words = (Gc.minor_words () -. minor0) /. float_of_int iters in
-        Printf.printf "   depth %2d: %8.0f minor words/validate\n" depth words;
-        (Printf.sprintf "validate/depth-%02d/minor_words_per_op" depth, words))
-      cases
+  let row depth path metric = Printf.sprintf "validate/depth-%02d/%s%s" depth path metric in
+  let each f =
+    List.concat_map (fun (depth, paths) -> List.map (fun (path, v) -> f depth path v) paths) cases
   in
-  let depth0 = List.assoc "validate/depth-00/minor_words_per_op" rows in
-  let ceiling, origin = alloc_ceiling ~default:396.0 "bench/authn_alloc_ceiling.txt" in
-  Printf.printf "   depth 0 allocation: %.1f minor words/validate vs ceiling %.1f (%s)\n" depth0
-    ceiling origin;
-  if depth0 > ceiling then begin
-    Printf.printf "   FAIL: end-entity validation exceeds the allocation ceiling\n";
-    incr bench_failures
-  end;
+  print_table "chain validation (signatures + naming + possession proof), best of 7"
+    (best_of_ns ~iters:2000 (each (fun depth path v -> (row depth path "", v))));
+  (* Minor words per validation, on both paths at every depth; depth 0
+     (an end-entity credential, as every GSI handshake presents) is gated
+     on each. *)
+  let rows =
+    each (fun depth path v ->
+        let words = minor_words_per_call ~iters:2000 v in
+        Printf.printf "   depth %2d %-4s: %8.0f minor words/validate\n" depth path words;
+        (row depth path "/minor_words_per_op", words))
+  in
+  let gate path ~default file =
+    let words = List.assoc (row 0 path "/minor_words_per_op") rows in
+    let ceiling, origin = alloc_ceiling ~default file in
+    Printf.printf "   depth 0 %s allocation: %.1f minor words/validate vs ceiling %.1f (%s)\n"
+      path words ceiling origin;
+    if words > ceiling then begin
+      Printf.printf "   FAIL: end-entity validation (%s path) exceeds the allocation ceiling\n"
+        path;
+      incr bench_failures
+    end;
+    (row 0 path "/alloc_ceiling", ceiling)
+  in
+  let miss_ceiling = gate "miss" ~default:396.0 "bench/authn_alloc_ceiling.txt" in
+  let hit_ceiling = gate "hit" ~default:170.0 "bench/authn_hit_alloc_ceiling.txt" in
   collected :=
-    ("chain validation allocation", rows @ [ ("validate/depth-00/alloc_ceiling", ceiling) ])
-    :: !collected
+    ("chain validation allocation", rows @ [ miss_ceiling; hit_ceiling ]) :: !collected
 
 (* ------------------------------------------------------------------ *)
 (* T5: combined decision vs number of policy sources                    *)

@@ -36,8 +36,12 @@ let verify (pk : public) ~signature msg =
   | None -> false
   | Some sk -> Hmac.equal signature (sign sk msg)
 
+let is_registered (pk : public) = Hashtbl.mem keystore pk.key_id
+
 let reset_keystore () = Hashtbl.reset keystore
 
-let add_label buf (pk : public) =
+let equal_public (a : public) (b : public) = String.equal a.key_id b.key_id
+
+let add_key_id buf (pk : public) =
   Buffer.add_string buf "pub:";
-  Buffer.add_substring buf pk.key_id 0 (min 12 (String.length pk.key_id))
+  Buffer.add_string buf pk.key_id

@@ -33,9 +33,15 @@ val verify : public -> signature:string -> string -> bool
     in constant time ({!Hmac.equal}). Returns [false] when [pk] is unknown
     to the keystore. *)
 
+val is_registered : public -> bool
+(** Whether the keystore resolves [pk]: exactly when {!verify} under [pk]
+    can succeed. *)
+
 val reset_keystore : unit -> unit
 (** Clear the trusted keystore (test setup). *)
 
-val add_label : Buffer.t -> public -> unit
-(** Append the key's short label, ["pub:"] and the first 12 hex digits of
-    its id: the form certificates sign. *)
+val equal_public : public -> public -> bool
+
+val add_key_id : Buffer.t -> public -> unit
+(** Append ["pub:"] and the key's full hex id: the form certificates sign,
+    so two keys render alike only when they are the same key. *)

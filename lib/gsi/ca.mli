@@ -23,7 +23,17 @@ val issue :
   Cert.t
 (** Issue an end-entity certificate. *)
 
-(** A verifier's set of trusted CA certificates. *)
+(** A verifier's set of trusted CA certificates, its revocation list and
+    a memo of the certificate signatures it has verified.
+
+    The memo is keyed on the certificate record itself, compared
+    structurally, plus the issuer key: [Cert.t] is immutable, so an equal
+    record renders the same signing bytes under the same signature, while
+    a record copied with any field changed misses and is verified in full.
+    It stores passed checks only, holds a small fixed number of them (it
+    is cleared when full) and is flushed when an anchor is added. A hit is
+    still refused when the issuer key has left the keystore. Validity,
+    revocation, naming and proof of possession are not memoized. *)
 module Trust_store : sig
   type store
 
@@ -31,7 +41,7 @@ module Trust_store : sig
 
   val add : store -> Cert.t -> unit
   (** Raises [Invalid_argument] if the certificate is not an Authority
-      certificate. Idempotent. *)
+      certificate. Idempotent. A new anchor flushes the memo. *)
 
   val find : store -> issuer:Dn.t -> Cert.t option
 
@@ -40,4 +50,8 @@ module Trust_store : sig
 
   val revoke_serial : store -> int -> unit
   val is_revoked : store -> Cert.t -> bool
+
+  val verify_signature : store -> Cert.t -> issuer_key:Grid_crypto.Keypair.public -> bool
+  (** {!Cert.verify_signature}, answered from the memo when this store has
+      already verified the same certificate under the same key. *)
 end

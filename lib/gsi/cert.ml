@@ -29,14 +29,16 @@ let kind_to_string = function
   | Authority -> "authority"
   | Proxy -> "proxy"
 
-(* The runtime primitive behind [Printf]'s [%f] conversions: the same bytes
-   as [Printf.sprintf "%.6f"], without interpreting a format each call. *)
+(* The runtime primitive behind [Printf]'s float conversions: the same bytes
+   as [Printf.sprintf "%.17g"], without interpreting a format each call. *)
 external format_float : string -> float -> string = "caml_format_float"
 
 (* Canonical byte encoding of the to-be-signed portion. Any change to a
-   field changes these bytes, so a tampered certificate fails verification.
-   They are re-rendered on every verification, never stored: a record
-   copied with one field changed must not carry the old bytes along. *)
+   field changes these bytes, so a tampered certificate fails verification:
+   the public key is rendered by its full id and times by 17 significant
+   digits, which name every double exactly. They are re-rendered on every
+   verification, never stored: a record copied with one field changed must
+   not carry the old bytes along. *)
 let to_signing_bytes ~serial ~kind ~subject ~issuer ~public_key ~not_before ~not_after
     ~extensions =
   let buf = Buffer.create 256 in
@@ -44,14 +46,13 @@ let to_signing_bytes ~serial ~kind ~subject ~issuer ~public_key ~not_before ~not
     Buffer.add_char buf '|';
     add buf x
   in
-  let time buf x = Buffer.add_string buf (format_float "%.6f" x) in
+  let time buf x = Buffer.add_string buf (format_float "%.17g" x) in
   Buffer.add_string buf "cert";
   field Buffer.add_string (string_of_int serial);
   field Buffer.add_string (kind_to_string kind);
   field Dn.add_to_buffer subject;
   field Dn.add_to_buffer issuer;
-  (* The public key's identity is its registered key id's short label. *)
-  field Grid_crypto.Keypair.add_label public_key;
+  field Grid_crypto.Keypair.add_key_id public_key;
   field time not_before;
   field time not_after;
   Buffer.add_char buf '|';

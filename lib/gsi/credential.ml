@@ -8,6 +8,9 @@
      1. every certificate is inside its validity window;
      2. each certificate's signature verifies under its parent's key
         (the chain's own parent, or a trusted CA for the chain root);
+        the trust store memoizes the checks that passed, keyed on the
+        certificate record and the issuer key, so a certificate seen
+        again is not re-hashed ([Ca.Trust_store.verify_signature]);
      3. issuer/subject names chain correctly;
      4. proxy certificates extend their issuer's DN ("CN=proxy"), and only
         proxies may be issued by non-authorities;
@@ -72,14 +75,18 @@ let validate (t : t) ~(trust : Ca.Trust_store.store) ~now =
       | None -> Error (Untrusted_root root.Cert.issuer)
       | Some anchor ->
         if not (Cert.valid_at anchor ~now) then Error (Expired anchor.Cert.subject)
-        else if not (Cert.verify_signature root ~issuer_key:anchor.Cert.public_key) then
+        else if
+          not (Ca.Trust_store.verify_signature trust root ~issuer_key:anchor.Cert.public_key)
+        then
           Error (Bad_signature root.Cert.subject)
         else Ok ()
     end
     | (child : Cert.t) :: (parent : Cert.t) :: rest ->
       if not (Dn.equal child.Cert.issuer parent.Cert.subject) then
         Error (Broken_chain { child = child.Cert.subject; claimed_issuer = child.Cert.issuer })
-      else if not (Cert.verify_signature child ~issuer_key:parent.Cert.public_key) then
+      else if
+        not (Ca.Trust_store.verify_signature trust child ~issuer_key:parent.Cert.public_key)
+      then
         Error (Bad_signature child.Cert.subject)
       else if
         child.Cert.kind = Cert.Proxy && not (Dn.is_prefix parent.Cert.subject child.Cert.subject)

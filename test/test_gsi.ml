@@ -291,6 +291,269 @@ let test_empty_chain () =
   | Error Credential.Empty_chain -> ()
   | _ -> Alcotest.fail "empty chain not rejected"
 
+(* --- Signing bytes bind every field -------------------------------------- *)
+
+(* Another key whose id shares the certified key's first 12 hex digits.
+   Finding a real one takes ~2^48 key generations, so the test copies
+   [Keypair.public]'s representation (one string field) with the id's
+   tail changed. *)
+let lookalike_key (pk : Grid_crypto.Keypair.public) =
+  let r = Obj.repr pk in
+  assert (Obj.is_block r && Obj.tag r = 0 && Obj.size r = 1);
+  let id : string = Obj.obj (Obj.field r 0) in
+  let tail = if id.[String.length id - 1] = '0' then "1" else "0" in
+  let forged = Obj.dup r in
+  Obj.set_field forged 0 (Obj.repr (String.sub id 0 (String.length id - 1) ^ tail));
+  (Obj.obj forged : Grid_crypto.Keypair.public)
+
+let test_key_id_prefix_bound () =
+  setup ();
+  let ca = make_ca () in
+  let trust = trust_of ca in
+  let id = Identity.create ~ca ~now:0.0 "/O=Grid/CN=Honest" in
+  let cert = Identity.certificate id in
+  let key = lookalike_key cert.Cert.public_key in
+  Alcotest.(check bool) "a different key" false
+    (Grid_crypto.Keypair.equal_public key cert.Cert.public_key);
+  let swapped = { cert with Cert.public_key = key } in
+  Alcotest.(check bool) "signature no longer verifies" false
+    (Cert.verify_signature swapped ~issuer_key:(Ca.certificate ca).Cert.public_key);
+  let cred = Credential.of_identity id ~challenge:"c" in
+  match Credential.validate { cred with Credential.chain = [ swapped ] } ~trust ~now:1.0 with
+  | Error (Credential.Bad_signature _) -> ()
+  | Ok _ -> Alcotest.fail "certificate with a swapped key accepted"
+  | Error e -> Alcotest.failf "wrong error: %s" (Credential.error_to_string e)
+
+let test_sub_microsecond_expiry_bound () =
+  setup ();
+  let ca = make_ca () in
+  let id = Identity.create ~ca ~now:0.0 ~lifetime:100.0 "/O=Grid/CN=Honest" in
+  let cert = Identity.certificate id in
+  let stretched = { cert with Cert.not_after = cert.Cert.not_after +. 2e-7 } in
+  Alcotest.(check bool) "stretched by 0.2 us" true
+    (stretched.Cert.not_after > cert.Cert.not_after);
+  Alcotest.(check bool) "signature no longer verifies" false
+    (Cert.verify_signature stretched ~issuer_key:(Ca.certificate ca).Cert.public_key)
+
+(* --- Verified-signature memo -------------------------------------------- *)
+
+(* A store that has validated a credential answers its signature checks
+   from the memo; a key dropped from the keystore must still refuse. *)
+let test_memo_refuses_dropped_key () =
+  setup ();
+  let ca = make_ca () in
+  let trust = trust_of ca in
+  let id = Identity.create ~ca ~now:0.0 "/O=Grid/CN=User" in
+  let cred = Credential.of_identity id ~challenge:"c" in
+  (match Credential.validate cred ~trust ~now:1.0 with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "unexpected: %s" (Credential.error_to_string e));
+  Grid_crypto.Keypair.reset_keystore ();
+  match Credential.validate cred ~trust ~now:1.0 with
+  | Error (Credential.Bad_signature _) -> ()
+  | Ok _ -> Alcotest.fail "memo vouched for a key the keystore dropped"
+  | Error e -> Alcotest.failf "wrong error: %s" (Credential.error_to_string e)
+
+(* One store meets 1,000 identities, one validation each. The memo must
+   stay within its bound, so the store's reachable size over the second
+   500 never exceeds its peak over the first 500. *)
+let test_memo_bounded () =
+  setup ();
+  let ca = make_ca () in
+  let trust = trust_of ca in
+  let empty = Obj.reachable_words (Obj.repr trust) in
+  let sizes =
+    Array.init 1000 (fun i ->
+        let id = Identity.create ~ca ~now:0.0 (Printf.sprintf "/O=Grid/CN=u%04d" i) in
+        let cred = Credential.of_identity id ~challenge:"c" in
+        (match Credential.validate cred ~trust ~now:1.0 with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "unexpected: %s" (Credential.error_to_string e));
+        Obj.reachable_words (Obj.repr trust))
+  in
+  let peak a b = Array.fold_left max 0 (Array.sub sizes a b) in
+  Alcotest.(check bool) "the memo holds verified certificates" true (peak 0 500 > empty);
+  Alcotest.(check bool)
+    (Printf.sprintf "second-half peak %d <= first-half peak %d words" (peak 500 500)
+       (peak 0 500))
+    true
+    (peak 500 500 <= peak 0 500)
+
+(* Memoized validation equals validation by a fresh store with the same
+   anchors and revocations, decision and error, over a random stream of
+   asks, tampered links, revocations and a second anchor under the CA's
+   DN with another key. *)
+type tamper = Subject | Issuer | Serial | Key | Not_after | Extensions | Signature
+
+let tampers = [ Subject; Issuer; Serial; Key; Not_after; Extensions; Signature ]
+
+let tamper_to_string = function
+  | Subject -> "subject"
+  | Issuer -> "issuer"
+  | Serial -> "serial"
+  | Key -> "key"
+  | Not_after -> "not_after"
+  | Extensions -> "extensions"
+  | Signature -> "signature"
+
+type proof = Good | Wrong_proof | Wrong_challenge
+
+type memo_event =
+  | Ask of { cred : int; now : float; proof : proof }
+  | Tampered of { cred : int; link : int; field : tamper }
+      (** asked tampered, then untampered, then tampered again *)
+  | Revoke of { cred : int; link : int }
+  | Second_anchor
+
+let memo_event_to_string = function
+  | Ask { cred; now; proof } ->
+    Printf.sprintf "ask %d at %g%s" cred now
+      (match proof with
+      | Good -> ""
+      | Wrong_proof -> " wrong-proof"
+      | Wrong_challenge -> " wrong-challenge")
+  | Tampered { cred; link; field } ->
+    Printf.sprintf "tamper %d link %d %s" cred link (tamper_to_string field)
+  | Revoke { cred; link } -> Printf.sprintf "revoke %d link %d" cred link
+  | Second_anchor -> "second anchor"
+
+(* Three users with chains of depth 0-4 each, plus one credential issued
+   under the second anchor's key. *)
+let memo_users = 3
+let memo_depths = 5
+let memo_creds = (memo_users * memo_depths) + 1
+
+let gen_memo_event =
+  QCheck.Gen.(
+    let cred = int_bound (memo_creds - 1) and link = int_bound 4 in
+    frequency
+      [ ( 8,
+          map3
+            (fun cred now proof -> Ask { cred; now; proof })
+            cred
+            (oneofl [ 1.0; 1.0; 1.0; 600.0; 5000.0 ])
+            (frequency
+               [ (6, return Good); (1, return Wrong_proof); (1, return Wrong_challenge) ]) );
+        ( 4,
+          map3 (fun cred link field -> Tampered { cred; link; field }) cred link (oneofl tampers)
+        );
+        (1, map2 (fun cred link -> Revoke { cred; link }) cred link);
+        (1, return Second_anchor) ])
+
+let qcheck_memo_equivalence =
+  QCheck.Test.make ~name:"memoized validate = fresh-store validate" ~count:60
+    (QCheck.make
+       QCheck.Gen.(list_size (int_range 20 60) gen_memo_event)
+       ~print:(fun evs -> String.concat "; " (List.map memo_event_to_string evs)))
+    (fun events ->
+      setup ();
+      let ca = make_ca () in
+      let ca_dn = (Ca.certificate ca).Cert.subject in
+      let chains =
+        List.concat_map
+          (fun u ->
+            let base =
+              Identity.create ~ca ~now:0.0 ~lifetime:1000.0
+                (Printf.sprintf "/O=Grid/CN=User %d" u)
+            in
+            List.init memo_depths (fun depth ->
+                let rec go id n =
+                  if n = 0 then id else go (Identity.delegate id ~now:0.0 ~lifetime:500.0) (n - 1)
+                in
+                go base depth))
+          (List.init memo_users Fun.id)
+      in
+      let second_kp = Grid_crypto.Keypair.generate ~seed_material:"second anchor" in
+      let second_user = Grid_crypto.Keypair.generate ~seed_material:"second user" in
+      List.iter Grid_crypto.Keypair.register [ second_kp; second_user ];
+      let second_anchor =
+        Cert.make ~kind:Cert.Authority ~subject:ca_dn ~issuer:ca_dn
+          ~public_key:(Grid_crypto.Keypair.public second_kp) ~not_before:0.0 ~not_after:1e9
+          ~extensions:[] ~signing_key:(Grid_crypto.Keypair.secret second_kp)
+      in
+      let second_cred =
+        { Credential.chain =
+            [ Cert.make ~kind:Cert.End_entity ~subject:(Dn.parse "/O=Grid/CN=Second")
+                ~issuer:ca_dn ~public_key:(Grid_crypto.Keypair.public second_user)
+                ~not_before:0.0 ~not_after:1000.0 ~extensions:[]
+                ~signing_key:(Grid_crypto.Keypair.secret second_kp) ];
+          proof = Grid_crypto.Keypair.sign (Grid_crypto.Keypair.secret second_user) "c";
+          challenge = "c" }
+      in
+      let creds =
+        Array.of_list
+          (List.map (fun id -> Credential.of_identity id ~challenge:"c") chains
+          @ [ second_cred ])
+      in
+      let other_key = Grid_crypto.Keypair.public second_user in
+      let other_signature = (Ca.certificate ca).Cert.signature in
+      let memo = trust_of ca in
+      let anchors = ref [ Ca.certificate ca ] and revoked = ref [] in
+      let fresh () =
+        let store = Ca.Trust_store.create () in
+        List.iter (Ca.Trust_store.add store) (List.rev !anchors);
+        List.iter (Ca.Trust_store.revoke_serial store) !revoked;
+        store
+      in
+      let ask label cred now =
+        let got = Credential.validate cred ~trust:memo ~now in
+        let want = Credential.validate cred ~trust:(fresh ()) ~now in
+        let show = function
+          | Ok d -> "Ok " ^ Dn.to_string d
+          | Error e -> Credential.error_to_string e
+        in
+        if got <> want then
+          QCheck.Test.fail_reportf "%s: memoized %s, fresh %s" label (show got) (show want)
+      in
+      let tamper (c : Cert.t) = function
+        | Subject -> { c with Cert.subject = Dn.append c.Cert.subject ~attr:"CN" ~value:"x" }
+        | Issuer -> { c with Cert.issuer = Dn.parse "/O=Grid/CN=Elsewhere" }
+        | Serial -> { c with Cert.serial = c.Cert.serial + 1 }
+        | Key -> { c with Cert.public_key = other_key }
+        | Not_after -> { c with Cert.not_after = c.Cert.not_after +. 2e-7 }
+        | Extensions ->
+          let e = { Cert.oid = "1.3.6.1.4.1.3536.1.222"; critical = false; payload = "x" } in
+          { c with Cert.extensions = e :: c.Cert.extensions }
+        | Signature -> { c with Cert.signature = other_signature }
+      in
+      List.iter
+        (fun event ->
+          let label = memo_event_to_string event in
+          match event with
+          | Ask { cred; now; proof } ->
+            let c = creds.(cred) in
+            let c =
+              match proof with
+              | Good -> c
+              | Wrong_proof ->
+                let proof = Grid_crypto.Keypair.sign (Grid_crypto.Keypair.secret second_kp) "c" in
+                { c with Credential.proof }
+              | Wrong_challenge -> { c with Credential.challenge = "other" }
+            in
+            ask label c now
+          | Tampered { cred; link; field } ->
+            let c = creds.(cred) in
+            let link = link mod List.length c.Credential.chain in
+            let chain =
+              List.mapi
+                (fun i cert -> if i = link then tamper cert field else cert)
+                c.Credential.chain
+            in
+            let t = { c with Credential.chain } in
+            ask label t 1.0;
+            ask label c 1.0;
+            ask label t 1.0
+          | Revoke { cred; link } ->
+            let chain = creds.(cred).Credential.chain in
+            let serial = (List.nth chain (link mod List.length chain)).Cert.serial in
+            Ca.Trust_store.revoke_serial memo serial;
+            revoked := serial :: !revoked
+          | Second_anchor ->
+            Ca.Trust_store.add memo second_anchor;
+            if not (List.memq second_anchor !anchors) then anchors := second_anchor :: !anchors)
+        events;
+      true)
+
 (* --- Gridmap ----------------------------------------------------------- *)
 
 let gridmap_text =
@@ -481,7 +744,10 @@ let () =
         [ Alcotest.test_case "ca self-signed" `Quick test_ca_self_signed;
           Alcotest.test_case "validity window" `Quick test_cert_validity_window;
           Alcotest.test_case "fingerprints" `Quick test_cert_fingerprint_changes;
-          Alcotest.test_case "trust store kind check" `Quick test_trust_store_rejects_non_authority ] );
+          Alcotest.test_case "trust store kind check" `Quick test_trust_store_rejects_non_authority;
+          Alcotest.test_case "signing bytes bind the full key id" `Quick test_key_id_prefix_bound;
+          Alcotest.test_case "signing bytes bind exact times" `Quick
+            test_sub_microsecond_expiry_bound ] );
       ( "credential",
         [ Alcotest.test_case "validates" `Quick test_credential_validates;
           Alcotest.test_case "untrusted root" `Quick test_credential_untrusted_root;
@@ -507,4 +773,9 @@ let () =
         [ Alcotest.test_case "flow" `Quick test_renewal_flow;
           Alcotest.test_case "authorization" `Quick test_renewal_authorization;
           Alcotest.test_case "bad credential / expired escrow" `Quick
-            test_renewal_rejects_bad_credential_and_expired_escrow ] ) ]
+            test_renewal_rejects_bad_credential_and_expired_escrow ] );
+      ( "signature memo",
+        [ Alcotest.test_case "dropped key refused" `Quick test_memo_refuses_dropped_key;
+          Alcotest.test_case "bounded over 1000 identities" `Quick test_memo_bounded;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5EED; 4817 |])
+            qcheck_memo_equivalence ] ) ]
